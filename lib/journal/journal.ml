@@ -755,8 +755,7 @@ let compact j =
   let tmp = snapshot_path j.j_dir ^ ".tmp" in
   let oc = open_out tmp in
   (try
-     output_string oc
-       (W.save (Ddf_session.Session.of_context j.j_ctx));
+     W.output (Ddf_session.Session.of_context j.j_ctx) oc;
      fsync_oc oc;
      close_out oc
    with e ->
@@ -1094,9 +1093,10 @@ let rename_or_copy src dst =
 
 (* The streaming flavour of [reset_to_snapshot]: [path] holds a
    workspace save spooled to disk in bounded chunks (a streamed
-   bootstrap), so the snapshot bytes never exist as one in-memory
-   string here.  The file is parsed FIRST — a malformed stream must
-   not clobber the database — then fsynced and renamed into place. *)
+   bootstrap), so the snapshot bytes never cross the wire as one
+   in-memory string, and the load installs them one instance at a
+   time.  The file is loaded FIRST — a malformed stream must not
+   clobber the database — then fsynced and renamed into place. *)
 let reset_to_snapshot_file j ~seq path =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   Ddf_obs.Metrics.incr m_resyncs;

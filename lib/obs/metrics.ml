@@ -9,30 +9,37 @@
    Histograms use fixed log-linear buckets -- 8 sub-buckets per
    power-of-two octave -- so p50/p90/p99 read out with bounded
    relative error (one bucket is a factor of 2^(1/8) ~ 9% wide) at a
-   fixed 256-int footprint, with no per-observation allocation. *)
+   fixed 512-int footprint, with no per-observation allocation. *)
 
 type counter = { c_name : string; mutable count : int }
 type gauge = { g_name : string; mutable value : float }
 
-(* Log-linear buckets: bucket 0 counts values <= 1; bucket i (i >= 1)
-   counts values in (2^((i-1)/8), 2^(i/8)]; the last bucket overflows
+(* Log-linear buckets over 64 octaves, 32 on each side of 1, so a
+   seconds-valued histogram resolves microseconds as finely as a
+   microseconds-valued one resolves seconds.  Bucket i (i >= 1)
+   counts values in (2^((i-1-o)/8), 2^((i-o)/8)] with o = 256, the
+   bucket whose upper bound is 1; bucket 0 counts everything up to
+   2^-32 (~2e-10), zero included; the last bucket overflows
    (2^(255/8) ~ 4e9 -- over an hour in microseconds). *)
 let sub_buckets = 8
-let bucket_count = 256
+let unit_bucket = 256
+let bucket_count = 512
 
 (* Upper bound of bucket i. *)
 let bucket_bound =
   let bounds =
     Array.init bucket_count (fun i ->
-        Float.pow 2.0 (float_of_int i /. float_of_int sub_buckets))
+        Float.pow 2.0
+          (float_of_int (i - unit_bucket) /. float_of_int sub_buckets))
   in
   fun i -> bounds.(i)
 
 let bucket_of v =
-  if v <= 1.0 then 0
+  if not (v > bucket_bound 0) then 0
   else
     let b =
-      int_of_float (ceil (float_of_int sub_buckets *. Float.log2 v))
+      unit_bucket
+      + int_of_float (ceil (float_of_int sub_buckets *. Float.log2 v))
     in
     min (max b 0) (bucket_count - 1)
 

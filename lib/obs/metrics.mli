@@ -6,8 +6,10 @@
     zeroes metrics in place, so cached handles survive a reset.
 
     Histograms use fixed log-linear buckets (8 sub-buckets per
-    power-of-two octave, 256 buckets total) so p50/p90/p99 read out
-    with ~9% worst-case relative error at a fixed footprint. *)
+    power-of-two octave, from 2^-32 to 2^32, 512 buckets total) so
+    p50/p90/p99 read out with ~9% worst-case relative error at a
+    fixed footprint, for sub-unit values (seconds) as for large ones
+    (microseconds). *)
 
 type counter
 type gauge

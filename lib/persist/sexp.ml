@@ -14,17 +14,18 @@ let sexp_errorf fmt = Format.kasprintf (fun s -> raise (Sexp_error s)) fmt
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every character that ends a bare atom must force quoting, or the
+   printed atom would not read back as one. *)
 let must_quote s =
   s = ""
   || String.exists
        (fun c ->
          match c with
-         | ' ' | '\t' | '\n' | '(' | ')' | '"' | ';' | '\\' -> true
+         | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' | '\\' -> true
          | _ -> false)
        s
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_escaped buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -35,23 +36,31 @@ let escape s =
       | '\t' -> Buffer.add_string buf "\\t"
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  Buffer.add_char buf '"'
 
+let add_atom buf s =
+  if must_quote s then add_escaped buf s else Buffer.add_string buf s
+
+(* The separator before a list's second and later items: long lists
+   break across lines for readable diffs, so a nested list printed at
+   [indent] >= 0 starts its own line, one space deeper. *)
+let add_separator buf indent item =
+  match item with
+  | List _ when indent >= 0 ->
+    Buffer.add_char buf '\n';
+    for _ = 0 to indent do
+      Buffer.add_char buf ' '
+    done
+  | List _ | Atom _ -> Buffer.add_char buf ' '
+
+(* [indent] is the list's nesting depth, or -1 for the compact form. *)
 let rec to_buffer buf indent = function
-  | Atom s -> Buffer.add_string buf (if must_quote s then escape s else s)
+  | Atom s -> add_atom buf s
   | List items ->
     Buffer.add_char buf '(';
     List.iteri
       (fun i item ->
-        if i > 0 then begin
-          (* long lists break across lines for readable diffs *)
-          match item with
-          | List _ when indent >= 0 ->
-            Buffer.add_char buf '\n';
-            Buffer.add_string buf (String.make (indent + 1) ' ')
-          | List _ | Atom _ -> Buffer.add_char buf ' '
-        end;
+        if i > 0 then add_separator buf indent item;
         to_buffer buf (if indent >= 0 then indent + 1 else indent) item)
       items;
     Buffer.add_char buf ')'
@@ -61,90 +70,159 @@ let to_string ?(pretty = true) sexp =
   to_buffer buf (if pretty then 0 else -1) sexp;
   Buffer.contents buf
 
+(* A writer prints the pretty form of a tree it never holds whole:
+   lists are opened and closed explicitly, and the items between them
+   are printed as they come.  [w_depth] is the nesting depth of the
+   innermost open list (-1 when none is open) and [w_first] whether
+   that list has no item yet. *)
+type writer = {
+  w_buf : Buffer.t;
+  mutable w_depth : int;
+  mutable w_first : bool;
+}
+
+let writer buf = { w_buf = buf; w_depth = -1; w_first = true }
+
+let separate w item =
+  if w.w_depth >= 0 && not w.w_first then add_separator w.w_buf w.w_depth item;
+  w.w_first <- false
+
+let open_list w =
+  separate w (List []);
+  Buffer.add_char w.w_buf '(';
+  w.w_depth <- w.w_depth + 1;
+  w.w_first <- true
+
+let add w item =
+  separate w item;
+  to_buffer w.w_buf (w.w_depth + 1) item
+
+let close_list w =
+  if w.w_depth < 0 then invalid_arg "Sexp.close_list: no open list";
+  Buffer.add_char w.w_buf ')';
+  w.w_depth <- w.w_depth - 1;
+  w.w_first <- false
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let of_string text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some ';' ->
+(* A cursor reads one element at a time, so a caller can walk a long
+   list without ever holding it as a tree. *)
+type cursor = {
+  text : string;
+  len : int;
+  mutable pos : int;
+}
+
+let cursor text = { text; len = String.length text; pos = 0 }
+
+let rec skip_ws c =
+  if c.pos < c.len then
+    match String.unsafe_get c.text c.pos with
+    | ' ' | '\t' | '\n' | '\r' ->
+      c.pos <- c.pos + 1;
+      skip_ws c
+    | ';' ->
       (* comment to end of line *)
-      while !pos < n && text.[!pos] <> '\n' do
-        advance ()
-      done;
-      skip_ws ()
-    | Some _ | None -> ()
+      c.pos <-
+        (match String.index_from_opt c.text c.pos '\n' with
+        | Some i -> i
+        | None -> c.len);
+      skip_ws c
+    | _ -> ()
+
+let quoted_atom c =
+  let start = c.pos + 1 in
+  (* the common case has no escape: one scan, one copy *)
+  let rec plain i =
+    if i >= c.len then sexp_errorf "unterminated string at %d" c.len
+    else
+      match String.unsafe_get c.text i with
+      | '"' -> Some i
+      | '\\' -> None
+      | _ -> plain (i + 1)
   in
-  let quoted_atom () =
-    advance ();
+  match plain start with
+  | Some stop ->
+    c.pos <- stop + 1;
+    String.sub c.text start (stop - start)
+  | None ->
     let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> sexp_errorf "unterminated string at %d" !pos
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some c -> sexp_errorf "bad escape \\%c" c
-        | None -> sexp_errorf "dangling escape");
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
+    let rec go i =
+      if i >= c.len then sexp_errorf "unterminated string at %d" c.len
+      else
+        match c.text.[i] with
+        | '"' -> i + 1
+        | '\\' ->
+          if i + 1 >= c.len then sexp_errorf "dangling escape";
+          (match c.text.[i + 1] with
+          | 'n' -> Buffer.add_char buf '\n'
+          | 't' -> Buffer.add_char buf '\t'
+          | '"' -> Buffer.add_char buf '"'
+          | '\\' -> Buffer.add_char buf '\\'
+          | e -> sexp_errorf "bad escape \\%c" e);
+          go (i + 2)
+        | ch ->
+          Buffer.add_char buf ch;
+          go (i + 1)
     in
-    go ();
-    Atom (Buffer.contents buf)
+    c.pos <- go start;
+    Buffer.contents buf
+
+let bare_atom c =
+  let start = c.pos in
+  let rec stop i =
+    if i >= c.len then i
+    else
+      match String.unsafe_get c.text i with
+      | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> i
+      | _ -> stop (i + 1)
   in
-  let bare_atom () =
-    let start = !pos in
-    let stop = ref false in
-    while not !stop do
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';') | None ->
-        stop := true
-      | Some _ -> advance ()
-    done;
-    Atom (String.sub text start (!pos - start))
-  in
-  let rec expr () =
-    skip_ws ();
-    match peek () with
-    | None -> sexp_errorf "unexpected end of input"
-    | Some '(' ->
-      advance ();
-      let items = ref [] in
-      let rec items_loop () =
-        skip_ws ();
-        match peek () with
-        | Some ')' -> advance ()
-        | None -> sexp_errorf "unterminated list"
-        | Some _ ->
-          items := expr () :: !items;
-          items_loop ()
-      in
-      items_loop ();
-      List (List.rev !items)
-    | Some '"' -> quoted_atom ()
-    | Some ')' -> sexp_errorf "unexpected ')' at %d" !pos
-    | Some _ -> bare_atom ()
-  in
-  let result = expr () in
-  skip_ws ();
-  if !pos <> n then sexp_errorf "trailing input at %d" !pos;
+  c.pos <- stop start;
+  String.sub c.text start (c.pos - start)
+
+let enter c =
+  skip_ws c;
+  if c.pos >= c.len then sexp_errorf "unexpected end of input";
+  if c.text.[c.pos] <> '(' then sexp_errorf "expected a list at %d" c.pos;
+  c.pos <- c.pos + 1
+
+let at_close c =
+  skip_ws c;
+  if c.pos >= c.len then sexp_errorf "unterminated list";
+  c.text.[c.pos] = ')'
+
+let leave c =
+  if not (at_close c) then sexp_errorf "expected ')' at %d" c.pos;
+  c.pos <- c.pos + 1
+
+let rec next c =
+  skip_ws c;
+  if c.pos >= c.len then sexp_errorf "unexpected end of input";
+  match c.text.[c.pos] with
+  | '(' ->
+    enter c;
+    let rec items acc =
+      if at_close c then begin
+        leave c;
+        List (List.rev acc)
+      end
+      else items (next c :: acc)
+    in
+    items []
+  | '"' -> Atom (quoted_atom c)
+  | ')' -> sexp_errorf "unexpected ')' at %d" c.pos
+  | _ -> Atom (bare_atom c)
+
+let finish c =
+  skip_ws c;
+  if c.pos <> c.len then sexp_errorf "trailing input at %d" c.pos
+
+let of_string text =
+  let c = cursor text in
+  let result = next c in
+  finish c;
   result
 
 (* ------------------------------------------------------------------ *)

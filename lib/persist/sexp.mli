@@ -13,6 +13,48 @@ val to_string : ?pretty:bool -> t -> string
 val of_string : string -> t
 (** @raise Sexp_error on malformed input or trailing text. *)
 
+(** {1 Streaming}
+
+    A document too large to hold as one tree is read and written one
+    element at a time.  Both sides produce and accept exactly the
+    bytes of {!to_string} / {!of_string}: [of_string] is itself
+    [next] followed by [finish]. *)
+
+type cursor
+(** A read position in a text. *)
+
+val cursor : string -> cursor
+
+val enter : cursor -> unit
+(** Step into the list that starts at the next element.
+    @raise Sexp_error when the next element is not a list. *)
+
+val at_close : cursor -> bool
+(** Whether the innermost entered list has no element left.
+    @raise Sexp_error at end of input (an unterminated list). *)
+
+val next : cursor -> t
+(** Parse the next element whole.
+    @raise Sexp_error on malformed input, a stray [')'] or end of input. *)
+
+val leave : cursor -> unit
+(** Step out of the innermost entered list.
+    @raise Sexp_error unless it has no element left. *)
+
+val finish : cursor -> unit
+(** @raise Sexp_error unless only whitespace and comments remain. *)
+
+type writer
+(** Appends the pretty form (the default of {!to_string}) of a tree
+    whose lists are opened and closed explicitly. *)
+
+val writer : Buffer.t -> writer
+val open_list : writer -> unit
+val add : writer -> t -> unit
+(** Append one whole element to the innermost open list. *)
+
+val close_list : writer -> unit
+
 (** {1 Construction helpers} *)
 
 val atom : string -> t

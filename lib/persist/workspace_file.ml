@@ -6,7 +6,12 @@
    Instance and record identifiers are dense and allocated in order by
    the store and the history, so loading re-inserts them in id order
    and asserts the ids come back unchanged; every payload's content
-   hash is recomputed on load and checked against the stored one. *)
+   hash is recomputed on load and checked against the stored one.
+
+   Both directions stream: a save prints one instance at a time
+   through a bounded buffer, and a load parses, decodes, checks and
+   installs one instance at a time, so the whole file never exists as
+   one tree. *)
 
 open Ddf_store
 open Ddf_history
@@ -99,40 +104,70 @@ let record_of_sexp sexp =
       rp_outputs = List.map pair (S.as_list outputs); rp_at = S.as_int at }
   | _ -> persist_errorf "malformed record"
 
-let save session =
+(* The bound on the buffer a streamed save drains through. *)
+let chunk_bytes = 65536
+
+(* Emit the whole file into [buf], one instance or record at a time,
+   its sections in the one order the reader requires and its
+   instances in ascending iid order (installation order).  [drain]
+   runs whenever [buf] holds at least [chunk_bytes] and once at the
+   end; a drain that empties [buf] keeps the save in bounded memory.
+   The bytes are exactly [S.to_string] of the file's tree followed by
+   a newline. *)
+let emit session buf ~drain =
   let ctx = Ddf_session.Session.context session in
   let store = ctx.Ddf_exec.Engine.store in
-  let sexp =
-    S.list
-      ([ S.atom "ddf_workspace";
-         S.field "version" [ S.int format_version ];
-         S.field "user" [ S.atom ctx.Ddf_exec.Engine.user ];
-         S.field "clock" [ S.int ctx.Ddf_exec.Engine.clock ];
-         S.field "instances"
-           (List.map (instance_to_sexp store) (Store.all_instances store));
-         S.field "records"
-           (List.map record_to_sexp (History.records ctx.Ddf_exec.Engine.history)) ]
-      (* omitted when empty, so files without sync conflicts keep the
-         exact pre-sync shape *)
-      @ (match History.all_conflicts ctx.Ddf_exec.Engine.history with
-        | [] -> []
-        | cs -> [ S.field "conflicts" (List.map conflict_to_sexp cs) ])
-      @ [ S.field "flows"
-            (List.filter_map
-               (fun name ->
-                 Option.map
-                   (fun g ->
-                     S.list
-                       [ S.atom name;
-                         S.atom (Ddf_graph.Sexp_form.to_string g) ])
-                   (Ddf_session.Session.catalog_flow session name))
-               (Ddf_session.Session.flow_catalog session)) ])
+  let history = ctx.Ddf_exec.Engine.history in
+  let w = S.writer buf in
+  let section name items item_to_sexp =
+    S.open_list w;
+    S.add w (S.atom name);
+    List.iter
+      (fun item ->
+        S.add w (item_to_sexp item);
+        if Buffer.length buf >= chunk_bytes then drain ())
+      items;
+    S.close_list w
   in
-  S.to_string sexp ^ "\n"
+  S.open_list w;
+  S.add w (S.atom "ddf_workspace");
+  S.add w (S.field "version" [ S.int format_version ]);
+  S.add w (S.field "user" [ S.atom ctx.Ddf_exec.Engine.user ]);
+  S.add w (S.field "clock" [ S.int ctx.Ddf_exec.Engine.clock ]);
+  section "instances" (Store.all_instances store) (instance_to_sexp store);
+  section "records" (History.records history) record_to_sexp;
+  (* omitted when empty, so files without sync conflicts keep the
+     exact pre-sync shape *)
+  (match History.all_conflicts history with
+  | [] -> ()
+  | cs -> section "conflicts" cs conflict_to_sexp);
+  section "flows"
+    (List.filter_map
+       (fun name ->
+         Option.map
+           (fun g -> (name, g))
+           (Ddf_session.Session.catalog_flow session name))
+       (Ddf_session.Session.flow_catalog session))
+    (fun (name, g) ->
+      S.list [ S.atom name; S.atom (Ddf_graph.Sexp_form.to_string g) ]);
+  S.close_list w;
+  Buffer.add_char buf '\n';
+  drain ()
+
+let save session =
+  let buf = Buffer.create chunk_bytes in
+  emit session buf ~drain:ignore;
+  Buffer.contents buf
+
+let output session oc =
+  let buf = Buffer.create chunk_bytes in
+  emit session buf ~drain:(fun () ->
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf)
 
 let save_file session path =
   let oc = open_out path in
-  (try output_string oc (save session)
+  (try output session oc
    with e ->
      close_out oc;
      raise e);
@@ -142,86 +177,85 @@ let save_file session path =
 (* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let load ?registry schema text =
-  let sexp =
-    try S.of_string text
-    with S.Sexp_error m -> persist_errorf "syntax: %s" m
-  in
-  let fields =
-    match S.as_list sexp with
-    | S.Atom "ddf_workspace" :: fields -> fields
-    | _ -> persist_errorf "not a ddf workspace file"
-  in
-  let version = S.as_int (S.one "version" (S.find_field fields "version")) in
-  if version <> format_version then
-    persist_errorf "unsupported format version %d" version;
-  let user = S.as_atom (S.one "user" (S.find_field fields "user")) in
-  let ctx = Ddf_exec.Engine.create_context ~user ?registry schema in
-  let session = Ddf_session.Session.of_context ctx in
-  let instances =
-    S.find_field fields "instances"
-    |> List.map (fun sexp ->
-           match S.as_list sexp with
-           | [ iid; entity; meta; hash; value ] ->
-             (S.as_int iid, S.as_atom entity, meta_of_sexp meta,
-              S.as_atom hash, value)
-           | _ -> persist_errorf "malformed instance")
-    |> List.sort compare
-  in
-  List.iter
-    (fun (iid, entity, meta, stored_hash, value_sexp) ->
-      let value =
-        try Codec.value_of_sexp value_sexp
-        with Codec.Codec_error m ->
-          persist_errorf "instance %d: %s" iid m
-      in
-      let hash = Ddf_data.hash value in
-      if hash <> stored_hash then
-        persist_errorf "instance %d: content hash mismatch (file corrupt?)" iid;
-      let got = Store.put ctx.Ddf_exec.Engine.store ~entity ~hash ~meta value in
-      if got <> iid then
-        persist_errorf "instance ids are not dense (%d loaded as %d)" iid got)
-    instances;
-  (* history records, in rid order *)
-  let records =
-    S.find_field fields "records"
-    |> List.map record_of_sexp
-    |> List.sort (fun a b -> compare a.rp_rid b.rp_rid)
-  in
-  List.iter
-    (fun p ->
-      let r =
-        History.add ctx.Ddf_exec.Engine.history ~task_entity:p.rp_task_entity
-          ~tool:p.rp_tool ~inputs:p.rp_inputs ~outputs:p.rp_outputs ~at:p.rp_at
-      in
-      if r.History.rid <> p.rp_rid then
-        persist_errorf "record ids are not dense (%d loaded as %d)" p.rp_rid
-          r.History.rid)
-    records;
-  (* sync conflicts (optional section; absent in pre-sync files) *)
-  (match S.find_field_opt fields "conflicts" with
-  | None -> ()
-  | Some sexps ->
-    sexps
-    |> List.map conflict_of_sexp
-    |> List.sort compare
-    |> List.iter (fun (cid, base, ours, theirs, origin, at, winner) ->
-           let c =
-             History.add_conflict ctx.Ddf_exec.Engine.history ~base ~ours
-               ~theirs ~origin ~at
-           in
-           if c.History.cid <> cid then
-             persist_errorf "conflict ids are not dense (%d loaded as %d)" cid
-               c.History.cid;
-           match winner with
-           | None -> ()
-           | Some w ->
-             ignore (History.resolve_conflict ctx.Ddf_exec.Engine.history cid
-                       ~winner:w)));
-  (* the clock resumes where it stopped *)
-  ctx.Ddf_exec.Engine.clock <-
-    S.as_int (S.one "clock" (S.find_field fields "clock"));
-  (* the flow catalog *)
+(* Step into the next section and check its name. *)
+let enter_section c name =
+  S.enter c;
+  match S.next c with
+  | S.Atom n when n = name -> ()
+  | S.Atom n -> persist_errorf "expected section %s, found %s" name n
+  | S.List _ -> persist_errorf "expected section %s" name
+
+(* A one-item header section: [(name item)]. *)
+let header c name =
+  enter_section c name;
+  let item = S.next c in
+  S.leave c;
+  item
+
+(* Each element of the section the cursor is in, then step out. *)
+let rec each_item c f =
+  if S.at_close c then S.leave c
+  else begin
+    f (S.next c);
+    each_item c f
+  end
+
+let section_items c =
+  let items = ref [] in
+  each_item c (fun sexp -> items := sexp :: !items);
+  List.rev !items
+
+(* Decode, hash-check and install one instance.  Its tree is dropped
+   as soon as the payload is decoded.  The store assigns iids densely
+   in put order, so each instance must carry the iid the store will
+   assign next. *)
+let load_instance store sexp =
+  match S.as_list sexp with
+  | [ iid; entity; meta; hash; value ] ->
+    let iid = S.as_int iid in
+    let due = Store.tick store in
+    if iid <> due then
+      persist_errorf "instance ids are not dense and ascending (%d where %d \
+                      was due)" iid due;
+    let value =
+      try Codec.value_of_sexp value
+      with Codec.Codec_error m -> persist_errorf "instance %d: %s" iid m
+    in
+    let stored_hash = S.as_atom hash in
+    if Ddf_data.hash value <> stored_hash then
+      persist_errorf "instance %d: content hash mismatch (file corrupt?)" iid;
+    ignore
+      (Store.put store ~entity:(S.as_atom entity) ~hash:stored_hash
+         ~meta:(meta_of_sexp meta) value : Store.iid)
+  | _ -> persist_errorf "malformed instance"
+
+let load_records history sexps =
+  sexps
+  |> List.map record_of_sexp
+  |> List.sort (fun a b -> compare a.rp_rid b.rp_rid)
+  |> List.iter (fun p ->
+         let r =
+           History.add history ~task_entity:p.rp_task_entity ~tool:p.rp_tool
+             ~inputs:p.rp_inputs ~outputs:p.rp_outputs ~at:p.rp_at
+         in
+         if r.History.rid <> p.rp_rid then
+           persist_errorf "record ids are not dense (%d loaded as %d)" p.rp_rid
+             r.History.rid)
+
+let load_conflicts history sexps =
+  sexps
+  |> List.map conflict_of_sexp
+  |> List.sort compare
+  |> List.iter (fun (cid, base, ours, theirs, origin, at, winner) ->
+         let c = History.add_conflict history ~base ~ours ~theirs ~origin ~at in
+         if c.History.cid <> cid then
+           persist_errorf "conflict ids are not dense (%d loaded as %d)" cid
+             c.History.cid;
+         match winner with
+         | None -> ()
+         | Some w -> ignore (History.resolve_conflict history cid ~winner:w))
+
+let load_flows schema session sexps =
   List.iter
     (fun sexp ->
       match S.as_list sexp with
@@ -229,8 +263,45 @@ let load ?registry schema text =
         let g = Ddf_graph.Sexp_form.of_string schema (S.as_atom flow_text) in
         Ddf_session.Session.restore_flow session (S.as_atom name) g
       | _ -> persist_errorf "malformed catalog flow")
-    (S.find_field fields "flows");
+    sexps
+
+let load_cursor ?registry schema c =
+  S.enter c;
+  (match S.next c with
+  | S.Atom "ddf_workspace" -> ()
+  | _ -> persist_errorf "not a ddf workspace file");
+  let version = S.as_int (header c "version") in
+  if version <> format_version then
+    persist_errorf "unsupported format version %d" version;
+  let user = S.as_atom (header c "user") in
+  let clock = S.as_int (header c "clock") in
+  let ctx = Ddf_exec.Engine.create_context ~user ?registry schema in
+  let session = Ddf_session.Session.of_context ctx in
+  let history = ctx.Ddf_exec.Engine.history in
+  enter_section c "instances";
+  each_item c (load_instance ctx.Ddf_exec.Engine.store);
+  enter_section c "records";
+  load_records history (section_items c);
+  (* sync conflicts: an optional section, absent in pre-sync files *)
+  S.enter c;
+  (match S.next c with
+  | S.Atom "conflicts" ->
+    load_conflicts history (section_items c);
+    enter_section c "flows"
+  | S.Atom "flows" -> ()
+  | _ -> persist_errorf "expected section conflicts or flows");
+  (* the clock resumes where it stopped *)
+  ctx.Ddf_exec.Engine.clock <- clock;
+  load_flows schema session (section_items c);
+  S.leave c;
+  S.finish c;
   session
+
+let load ?registry schema text =
+  try load_cursor ?registry schema (S.cursor text) with
+  | S.Sexp_error m -> persist_errorf "syntax: %s" m
+  | Ddf_graph.Sexp_form.Parse_error m -> persist_errorf "catalog flow: %s" m
+  | Ddf_core.Error.Ddf_error e -> persist_errorf "%s" e.Ddf_core.Error.message
 
 let load_file ?registry schema path =
   let ic = open_in path in

@@ -6,20 +6,48 @@
     exactly (asserted by dense-id checks and recomputed content hashes;
     the save of a reloaded session is byte-identical, a tested
     fixpoint).  Compiled simulators persist their full
-    instruction program. *)
+    instruction program.
+
+    {b Format.}  One list, pretty-printed by {!Sexp.to_string} and
+    followed by a newline, whose sections come in this fixed order:
+
+    {v
+(ddf_workspace
+ (version 1)
+ (user U)
+ (clock C)
+ (instances (IID ENTITY META HASH VALUE) ...)
+ (records (RID TASK TOOL INPUTS OUTPUTS AT) ...)
+ (conflicts (CID BASE OURS THEIRS ORIGIN AT WINNER) ...)
+ (flows (NAME FLOW-TEXT) ...))
+    v}
+
+    [conflicts] is omitted when there are none.  The instances are in
+    ascending iid order, dense from the first iid: the writer always
+    emits them so, and the loader rejects any other order.  Both
+    directions stream one instance at a time, so neither holds the
+    whole file as one tree. *)
 
 exception Persist_error of string
 
 val format_version : int
 
 val save : Ddf_session.Session.t -> string
+(** The whole file as one string, for callers that need one. *)
+
+val output : Ddf_session.Session.t -> out_channel -> unit
+(** Write the same bytes as {!save} to a channel, one instance at a
+    time through a bounded buffer. *)
+
 val save_file : Ddf_session.Session.t -> string -> unit
 
 val load :
   ?registry:Ddf_tools.Encapsulation.registry -> Ddf_schema.Schema.t ->
   string -> Ddf_session.Session.t
-(** @raise Persist_error on syntax errors, version mismatch, non-dense
-    ids or content-hash mismatches (tampering/corruption). *)
+(** @raise Persist_error on syntax errors, sections out of order,
+    version mismatch, instances out of order or not dense, non-dense
+    record or conflict ids, content-hash mismatches
+    (tampering/corruption) and trailing input. *)
 
 val load_file :
   ?registry:Ddf_tools.Encapsulation.registry -> Ddf_schema.Schema.t ->

@@ -232,6 +232,20 @@ let metrics_tests =
           check (Alcotest.float 1e-9) "min" 1.0 hs.Metrics.hs_min;
           check (Alcotest.float 1e-9) "max" 8.0 hs.Metrics.hs_max
         | _ -> Alcotest.fail "unexpected snapshot"));
+    t "sub-unit values resolve to their own buckets" (fun () ->
+        (* a seconds-valued histogram: 88 us decodes between a 1 us
+           outlier and a 0.9 s one *)
+        let reg = Metrics.create () in
+        let h = Metrics.histogram ~registry:reg "decode_seconds" in
+        Metrics.observe h 1e-6;
+        for _ = 1 to 97 do
+          Metrics.observe h 88e-6
+        done;
+        Metrics.observe h 0.9;
+        let p50 = Metrics.quantile h 0.5 in
+        let width = Float.pow 2.0 (1.0 /. 8.0) in
+        if p50 < 88e-6 /. width || p50 > 88e-6 *. width then
+          Alcotest.failf "p50 %g is more than one bucket from 88e-6" p50);
     t "empty histograms appear in snapshots with n=0" (fun () ->
         let reg = Metrics.create () in
         let _ = Metrics.histogram ~registry:reg "idle" in
