@@ -43,16 +43,10 @@ let m_ambiguous = Metrics.counter "client.ambiguous_commits"
 type t = {
   socket : string;
   c_user : string;
-  c_version : int;
   c_timeout : float option;
   c_retries : int;
   c_deadline : float option;          (* per-call budget, seconds *)
   mutable fd : Unix.file_descr option;
-  (* the codec the CURRENT connection negotiated.  Never carried over:
-     [drop] resets it to [Sexp], and only a completed hello on a fresh
-     dial upgrades it — a redial after a mid-frame disconnect
-     re-negotiates from scratch. *)
-  mutable c_codec : Wire.codec;
   mutable closed : bool;
 }
 
@@ -62,53 +56,20 @@ let backoff_initial = 0.05
 let backoff_max = 1.0
 
 let drop t =
-  t.c_codec <- Wire.Sexp;
   match t.fd with
   | None -> ()
   | Some fd ->
     t.fd <- None;
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-(* One dial attempt: socket, connect, hello.  The server answers the
-   hello with Ok_unit, or refuses (version mismatch, capacity) with a
-   typed error we re-raise with its code intact. *)
+(* One dial attempt.  A server refusal (version mismatch, capacity)
+   is re-raised with its code intact; transport failures are
+   [`Unavailable]. *)
 let dial t =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let fail ?(code = `Unavailable) fmt =
-    Printf.ksprintf
-      (fun s ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        E.raise_ (E.make ~context:[ ("endpoint", t.socket) ] code s))
-      fmt
-  in
-  (match Unix.connect fd (Unix.ADDR_UNIX t.socket) with
-  | () -> ()
-  | exception Unix.Unix_error (e, _, _) ->
-    fail "cannot connect to %s: %s" t.socket (Unix.error_message e));
-  (match t.c_timeout with
-  | Some s -> (
-    try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
-    with Unix.Unix_error _ | Invalid_argument _ -> ())
-  | None -> ());
-  (* the hello itself always travels as sexp — the server's dialect is
-     unknown until it answers.  An accepting v8 server switches the
-     connection immediately, so the hello reply already arrives binary
-     (recv_response sniffs the frame's first byte either way). *)
-  (match
-     Wire.send_request Wire.Sexp fd
-       (Wire.Hello { user = t.c_user; version = t.c_version });
-     Wire.recv_response fd
-   with
-  | Some (Wire.Ok_unit, _, _) ->
-    t.c_codec <- Wire.codec_for_version t.c_version
-  | Some (Wire.Error err, _, _) ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise (E.Ddf_error err)
-  | Some _ -> fail ~code:`Internal "unexpected response to hello"
-  | None -> fail "server closed the connection during hello"
-  | exception Wire.Wire_error m -> fail "%s" m
-  | exception Unix.Unix_error (e, _, _) -> fail "%s" (Unix.error_message e));
-  t.fd <- Some fd
+  match Wire.connect ?timeout:t.c_timeout ~user:t.c_user t.socket with
+  | fd -> t.fd <- Some fd
+  | exception Wire.Wire_error m ->
+    E.raise_ (E.make ~context:[ ("endpoint", t.socket) ] `Unavailable m)
 
 (* A refused hello (version mismatch) comes back [retryable = false]
    and is final; an unreachable socket or a capacity refusal is
@@ -194,8 +155,7 @@ let call t req =
         "client.attempt"
         (fun () ->
           match
-            Wire.send_request ?deadline_ms ?trace:(Obs.current_span ())
-              t.c_codec fd req;
+            Wire.send_request ?deadline_ms ?trace:(Obs.current_span ()) fd req;
             sent := true;
             Wire.recv_response fd
           with
@@ -203,7 +163,7 @@ let call t req =
           | exception e -> Error e)
     in
     match outcome with
-    | Ok (Some (resp, _, _)) -> (
+    | Ok (Some (resp, _)) -> (
       match resp with
       | Wire.Error err when err.E.retryable && retries > 0 ->
         (* the server asserts the request was NOT executed (shed,
@@ -265,21 +225,7 @@ let ok t req =
   | resp -> resp
 
 let unexpected req resp =
-  client_errorf "unexpected %s response to %s"
-    (match (resp : Wire.response) with
-    | Wire.Ok_unit -> "unit" | Wire.Ok_int _ -> "int"
-    | Wire.Ok_ints _ -> "ints" | Wire.Ok_atoms _ -> "atoms"
-    | Wire.Ok_text _ -> "text" | Wire.Ok_nodes _ -> "nodes"
-    | Wire.Ok_rows _ -> "rows" | Wire.Ok_stat _ -> "stat"
-    | Wire.Ok_refresh _ -> "refresh" | Wire.Ok_snapshot _ -> "snapshot"
-    | Wire.Ok_snapshot_begin _ -> "snapshot-begin"
-    | Wire.Ok_snapshot_chunk _ -> "snapshot-chunk"
-    | Wire.Ok_snapshot_end _ -> "snapshot-end"
-    | Wire.Ok_frame _ -> "frame" | Wire.Ok_lags _ -> "lags"
-    | Wire.Ok_batch _ -> "batch" | Wire.Ok_metrics _ -> "metrics"
-    | Wire.Ok_digest _ -> "digest" | Wire.Ok_frames _ -> "frames"
-    | Wire.Ok_sync _ -> "sync" | Wire.Ok_conflicts _ -> "conflicts"
-    | Wire.Error _ -> "error")
+  client_errorf "unexpected %s response to %s" (Wire.response_name resp)
     (Wire.request_name req)
 
 let ok_unit t req =
@@ -307,12 +253,11 @@ let ok_rows t req =
 (* Connection lifecycle                                                *)
 (* ------------------------------------------------------------------ *)
 
-let connect ?(user = "anonymous") ?(version = Wire.protocol_version) ?timeout
-    ?(retries = 0) ?deadline ~socket () =
+let connect ?(user = "anonymous") ?timeout ?(retries = 0) ?deadline ~socket ()
+    =
   let t =
-    { socket; c_user = user; c_version = version; c_timeout = timeout;
-      c_retries = retries; c_deadline = deadline; fd = None;
-      c_codec = Wire.Sexp; closed = false }
+    { socket; c_user = user; c_timeout = timeout; c_retries = retries;
+      c_deadline = deadline; fd = None; closed = false }
   in
   dial_retrying t retries backoff_initial;
   t
@@ -325,8 +270,8 @@ let close t =
 
 let closed t = t.closed
 
-let with_client ?user ?version ?timeout ?retries ?deadline ~socket f =
-  let t = connect ?user ?version ?timeout ?retries ?deadline ~socket () in
+let with_client ?user ?timeout ?retries ?deadline ~socket f =
+  let t = connect ?user ?timeout ?retries ?deadline ~socket () in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
 (* ------------------------------------------------------------------ *)
@@ -399,7 +344,7 @@ let shutdown t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The anti-entropy sync surface (wire v6)                             *)
+(* The anti-entropy sync surface                                      *)
 (* ------------------------------------------------------------------ *)
 
 let sync_digest t =
@@ -429,7 +374,7 @@ let resolve t ~conflict ~winner =
   ok_unit t (Wire.Resolve { conflict; winner })
 
 (* ------------------------------------------------------------------ *)
-(* Streaming snapshot export (wire v7)                                 *)
+(* Streaming snapshot export                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* One request, many response frames — this cannot ride [call]'s
@@ -440,51 +385,25 @@ let resolve t ~conflict ~winner =
    exists as one in-memory string. *)
 let snapshot_export t ~out =
   let fd = ensure_connected t in
-  let tmp = out ^ ".tmp" in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        (try Sys.remove tmp with Sys_error _ -> ());
-        drop t;
-        client_errorf ~code:`Unavailable "%s" s)
-      fmt
+  let fail m =
+    drop t;
+    client_errorf ~code:`Unavailable "%s" m
   in
-  let recv () =
-    match Wire.recv_response fd with
-    | Some (resp, _, _) -> resp
-    | None -> fail "server closed the connection mid-export"
-    | exception Wire.Wire_error m -> fail "%s" m
-    | exception Unix.Unix_error (e, _, _) -> fail "%s" (Unix.error_message e)
-  in
-  (match Wire.send_request t.c_codec fd Wire.Snapshot_export with
-  | () -> ()
-  | exception Wire.Wire_error m -> fail "%s" m
-  | exception Unix.Unix_error (e, _, _) -> fail "%s" (Unix.error_message e));
-  match recv () with
-  | Wire.Error err -> raise (E.Ddf_error err)
-  | Wire.Ok_snapshot_begin { seq; bytes } ->
-    let oc = open_out_bin tmp in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-    let rec chunks received =
-      match recv () with
-      | Wire.Ok_snapshot_chunk { data } ->
-        output_string oc data;
-        chunks (received + String.length data)
-      | Wire.Ok_snapshot_end { digest } ->
-        close_out oc;
-        if received <> bytes then
-          fail "export ended short: %d of %d bytes" received bytes;
-        if not (String.equal (Digest.to_hex (Digest.file tmp)) digest) then
-          fail "export failed its checksum";
-        Sys.rename tmp out;
-        (seq, bytes)
-      | Wire.Error err ->
-        (try Sys.remove tmp with Sys_error _ -> ());
-        raise (E.Ddf_error err)
-      | resp -> unexpected Wire.Snapshot_export resp
-    in
-    chunks 0
-  | resp -> unexpected Wire.Snapshot_export resp
+  match
+    Wire.send_request fd Wire.Snapshot_export;
+    Wire.recv_response fd
+  with
+  | Some (Wire.Ok_snapshot_begin { seq; bytes }, _) -> (
+    match Wire.recv_snapshot fd ~bytes (out ^ ".tmp") with
+    | () ->
+      Sys.rename (out ^ ".tmp") out;
+      (seq, bytes)
+    | exception Wire.Wire_error m -> fail m)
+  | Some (Wire.Error err, _) -> raise (E.Ddf_error err)
+  | Some (resp, _) -> unexpected Wire.Snapshot_export resp
+  | None -> fail "server closed the connection mid-export"
+  | exception Wire.Wire_error m -> fail m
+  | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
 
 (* ------------------------------------------------------------------ *)
 (* Result-typed variants                                               *)

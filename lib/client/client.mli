@@ -36,16 +36,16 @@ exception Client_error of Ddf_core.Error.t
 type t
 
 val connect :
-  ?user:string -> ?version:int -> ?timeout:float -> ?retries:int ->
+  ?user:string -> ?timeout:float -> ?retries:int ->
   ?deadline:float -> socket:string -> unit -> t
 (** Connect to the daemon listening on [socket] and introduce
     ourselves as [user] (default ["anonymous"]); the server stamps
     that identity on every instance and history record this
     connection creates.
 
-    [version] (default {!Ddf_wire.Wire.protocol_version}) is the
-    protocol dialect announced in the handshake — a mismatch is
-    refused by the server with a final typed error.  [timeout] bounds
+    The handshake announces {!Ddf_wire.Wire.protocol_version}; a
+    server speaking another version refuses it with a final typed
+    error.  [timeout] bounds
     each attempt's wait for a response (seconds); on expiry the
     connection is dropped, to be redialed on the next call.
     [retries] (default 0: fail fast) bounds classified resends with
@@ -60,7 +60,7 @@ val close : t -> unit
 val closed : t -> bool
 
 val with_client :
-  ?user:string -> ?version:int -> ?timeout:float -> ?retries:int ->
+  ?user:string -> ?timeout:float -> ?retries:int ->
   ?deadline:float -> socket:string -> (t -> 'a) -> 'a
 (** [connect], run, [close] — also on exception. *)
 
@@ -207,13 +207,12 @@ val metrics : t -> Ddf_obs.Metrics.metric list
 
 val snapshot_export : t -> out:string -> int * int
 (** Ask the daemon to compact and stream its snapshot back in bounded
-    chunks (wire v7).  The stream is spooled to [out ^ ".tmp"],
+    chunks.  The stream is spooled to [out ^ ".tmp"],
     verified against its digest and byte count, and renamed to [out];
     at no point does the snapshot exist as one in-memory string.
     Returns [(seq, bytes)] — the seqno the snapshot covers and its
     size.  Never retried (the server compacts first, a mutation).
-    @raise Client_error on refusal (a pre-v7 negotiation) or a
-    corrupt/short stream. *)
+    @raise Client_error on refusal or a corrupt/short stream. *)
 
 val batch : t -> Ddf_wire.Wire.request list -> Ddf_wire.Wire.response list
 (** Pipeline: send the requests as one [Batch] frame and return their
@@ -229,7 +228,7 @@ val shutdown : t -> unit
 (** Ask the daemon to shut down gracefully, then close this
     connection (idempotent: a no-op on a closed client). *)
 
-(** {1 Anti-entropy sync (wire v6)}
+(** {1 Anti-entropy sync}
 
     The raw verbs {!Ddf_sync.Sync} drives: a digest handshake, frame
     pulls, and frame pushes.  Useful directly for diagnostics

@@ -487,7 +487,7 @@ let fsync_oc oc =
 
 (* Directory fsync: a rename is only durable once the directory entry
    itself reaches disk — without this, a power cut after [compact] or
-   [reset_to_snapshot] can resurrect the pre-rename snapshot/base.
+   [reset_to_snapshot_file] can resurrect the pre-rename snapshot/base.
    Real I/O errors are swallowed (the fsync is belt-and-braces on
    filesystems that journal renames anyway), but the
    [journal.dir_fsync] crash point fires through so the fault sweep
@@ -962,12 +962,6 @@ let wsid j =
     id
   end
 
-(* The full current state as a replication seed: (seqno, workspace
-   save).  Like [entries_since], call this with writers excluded. *)
-let snapshot_state j =
-  if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
-  (j.j_seq, W.save (Ddf_session.Session.of_context j.j_ctx))
-
 (* Apply one replicated frame: replay the payload into the context and
    append the identical bytes to the local wal, so a follower's journal
    is byte-for-byte the primary's log suffix and the follower is itself
@@ -1005,14 +999,11 @@ let apply j ~seq payload =
   | Some f -> f j.j_seq payload
   | None -> ()
 
-(* Replace the whole database with a primary's snapshot (the catch-up
-   path when our seqno predates the primary's oldest wal entry, e.g.
-   after a primary compaction).  Disk first — snapshot.ddf via atomic
-   rename, base.ddf, truncated wal — then the in-memory context is
-   swapped to the freshly loaded store/history/clock in place, so
-   sessions holding the context observe the new state. *)
-(* Shared tail of both reset flavours, entered with the new
-   snapshot.ddf already renamed into place and observers detached. *)
+(* Shared tail of a resync, entered with the new snapshot.ddf already
+   renamed into place and observers detached: base.ddf, a truncated
+   wal, then the in-memory context is swapped to the freshly loaded
+   store/history/clock in place, so sessions holding the context
+   observe the new state. *)
 let finish_reset j ~seq fresh =
   write_base j.j_dir seq;
   (* one directory fsync pins both renames (snapshot + base) *)
@@ -1036,29 +1027,6 @@ let finish_reset j ~seq fresh =
      one the loader was installed on) *)
   install_cold_loader j;
   attach j
-
-let reset_to_snapshot j ~seq data =
-  if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
-  Ddf_obs.Metrics.incr m_resyncs;
-  let session =
-    try W.load ?registry:j.j_registry j.j_ctx.Ddf_exec.Engine.schema data
-    with W.Persist_error m -> journal_errorf "replication snapshot: %s" m
-  in
-  let fresh = Ddf_session.Session.context session in
-  detach j;
-  let tmp = snapshot_path j.j_dir ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc data;
-     fsync_oc oc;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     attach j;
-     raise e);
-  Sys.rename tmp (snapshot_path j.j_dir);
-  finish_reset j ~seq fresh
 
 let m_stream_resyncs = Ddf_obs.Metrics.counter "journal.snapshot_stream_resyncs"
 
@@ -1091,12 +1059,14 @@ let rename_or_copy src dst =
     Sys.rename tmp dst;
     try Sys.remove src with Sys_error _ -> ()
 
-(* The streaming flavour of [reset_to_snapshot]: [path] holds a
-   workspace save spooled to disk in bounded chunks (a streamed
-   bootstrap), so the snapshot bytes never cross the wire as one
-   in-memory string, and the load installs them one instance at a
-   time.  The file is loaded FIRST — a malformed stream must not
-   clobber the database — then fsynced and renamed into place. *)
+(* Replace the whole database with a primary's snapshot (the catch-up
+   path when our seqno predates the primary's oldest wal entry, e.g.
+   after a primary compaction).  [path] holds a workspace save spooled
+   to disk in bounded chunks (a streamed bootstrap), so the snapshot
+   bytes never cross the wire as one in-memory string, and the load
+   installs them one instance at a time.  The file is loaded FIRST — a
+   malformed stream must not clobber the database — then fsynced and
+   renamed into place. *)
 let reset_to_snapshot_file j ~seq path =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   Ddf_obs.Metrics.incr m_resyncs;

@@ -1,8 +1,8 @@
 (** Journal-shipping replication transport.
 
     A primary design server streams its {!Ddf_journal.Journal} to
-    follower daemons: each follower receives an optional full-state
-    snapshot followed by every journal entry, tagged with its global
+    follower daemons: each follower receives an optional streamed
+    full-state snapshot followed by every journal entry, tagged with its global
     sequence number and md5 digest, and applies them through its own
     journal — so a caught-up follower's database (store, history,
     meta-data, logical clock, and on-disk wal suffix) is identical to
@@ -18,27 +18,16 @@
 
 exception Replica_error of string
 
-val stream_snapshot :
-  send:(Ddf_wire.Wire.response -> unit) -> seq:int -> Unix.file_descr -> unit
-(** Stream a snapshot file descriptor as [Ok_snapshot_begin], then
-    {!Ddf_wire.Wire.snapshot_chunk_bytes}-sized [Ok_snapshot_chunk]s,
-    then [Ok_snapshot_end] (md5 over the whole file).  Open the
-    descriptor with the writer excluded — it pins the snapshot inode
-    against later compaction renames.  Holds at most one chunk in
-    memory; closes the descriptor; counts [replica.snapshots_streamed].
-    [send] must raise to abort the stream (the exception propagates). *)
-
 (** The follower's end of a replication stream. *)
 module Feed : sig
   type t
 
   type event =
-    | Snapshot of { seq : int; data : string }
-        (** full workspace state as of [seq]; replaces everything *)
     | Snapshot_file of { seq : int; path : string }
-        (** a v7 streamed snapshot, reassembled (byte count and digest
-            verified) into a spool file the consumer owns — state as
-            of [seq] without ever existing as one in-memory string *)
+        (** a streamed snapshot, reassembled (byte count and digest
+            verified) into a spool file the consumer owns — the full
+            state as of [seq], replacing everything, without ever
+            existing as one in-memory string *)
     | Frame of {
         seq : int;
         payload : string;
@@ -48,12 +37,8 @@ module Feed : sig
       }  (** one journal entry (digest already verified) *)
 
   val connect :
-    ?user:string -> ?version:int -> ?spool:string ->
-    socket:string -> since:int -> unit -> t
-  (** Dial the primary, handshake ([Hello] with this build's protocol
-      version — override [version] to exercise the downlevel sexp
-      codec or monolithic resync paths; the feed speaks the codec the
-      version negotiates from the Subscribe onward) and send
+    ?user:string -> ?spool:string -> socket:string -> since:int -> unit -> t
+  (** Dial the primary, handshake ([Hello]) and send
       [Subscribe since].  [spool] is the directory streamed snapshots
       are reassembled in (default the system temp dir); put it on the
       database's filesystem so the final rename into place is atomic.
@@ -80,24 +65,21 @@ end
 module Outbox : sig
   type t
 
-  val create :
-    ?cap:int -> ?codec:Ddf_wire.Wire.codec -> name:string ->
-    Unix.file_descr -> t
-  (** [cap] defaults to 65536 queued messages.  [codec] (default
-      [Sexp]) is the encoding the subscriber negotiated; the sender
-      thread drains each contiguous run of queued responses and
-      flushes it as {e one} gathered write in that codec. *)
+  val create : ?cap:int -> name:string -> Unix.file_descr -> t
+  (** [cap] defaults to 65536 queued messages.  The sender thread
+      drains each contiguous run of queued responses and flushes it
+      as {e one} gathered write. *)
 
   val name : t -> string
   val push : ?trace:Ddf_obs.Obs.span_ctx -> t -> Ddf_wire.Wire.response -> unit
-  (** Enqueue; silently drops when the outbox is dead.  [Ok_frame] and
-      [Ok_snapshot] update the sent-seqno watermark.  [trace] rides
+  (** Enqueue; silently drops when the outbox is dead.  [Ok_frame]
+      updates the sent-seqno watermark.  [trace] rides
       the frame header so the follower's apply span joins the
       producing write's trace. *)
 
   val push_snapshot_file : t -> seq:int -> string -> unit
   (** Enqueue the snapshot file at this path to be streamed as
-      begin/chunk/end frames ({!stream_snapshot}).  The descriptor is
+      begin/chunk/end frames ({!Ddf_wire.Wire.send_snapshot}).  The descriptor is
       opened here — call with the writer excluded and [seq] equal to
       the journal's base, so the pinned bytes are exactly the state at
       [seq].  Kills the outbox when the file cannot be opened.
@@ -117,7 +99,7 @@ end
 (** A background thread keeping one replication stream alive:
     reconnects with bounded exponential backoff (50ms doubling to 2s),
     resubscribes from [current_seq ()], and feeds every event to the
-    [apply]/[reset] hooks.  The hooks run on the follower thread and
+    [apply]/[reset_file] hooks.  The hooks run on the follower thread and
     must raise on failure — the driver then drops the connection and
     retries, which restarts catch-up cleanly. *)
 module Follower : sig
@@ -125,22 +107,17 @@ module Follower : sig
 
   val start :
     ?name:string ->
-    ?version:int ->
     ?spool:string ->
     primary:string ->
     current_seq:(unit -> int) ->
     apply:(trace:Ddf_obs.Obs.span_ctx option -> seq:int -> string -> unit) ->
-    reset:(seq:int -> string -> unit) ->
-    ?reset_file:(seq:int -> string -> unit) ->
+    reset_file:(seq:int -> string -> unit) ->
     ?on_error:(string -> unit) ->
     unit -> t
-  (** [version] overrides the protocol version each (re)connection
-      hellos with — the downlevel-codec debug lever (see
-      {!Feed.connect}).  [spool] is where streamed snapshots are
-      reassembled.  [reset_file] handles a {!Feed.Snapshot_file}
-      event — typically {!Ddf_journal.Journal.reset_to_snapshot_file},
-      which consumes the spool file; when absent the driver reads the
-      spool back into memory and falls through to [reset]. *)
+  (** [spool] is where streamed snapshots are reassembled.
+      [reset_file] handles a {!Feed.Snapshot_file} event — typically
+      {!Ddf_journal.Journal.reset_to_snapshot_file}, which consumes the
+      spool file (the driver removes it if the hook did not). *)
 
   val primary : t -> string
 

@@ -31,7 +31,7 @@
     per-origin applied cursors, the identity map and the conflict map.
     A sync severed mid-round (network fault, crash) resumes from the
     cursor; re-delivered frames deduplicate, so delivery is
-    effectively exactly-once.  The wire side rides the v6 verbs
+    effectively exactly-once.  The wire side rides the sync verbs
     ({!Ddf_wire.Wire.request}); in-process peers sync directly. *)
 
 (** {1 Digests} *)
@@ -93,8 +93,7 @@ type peer
 val of_journal : Ddf_journal.Journal.t -> peer
 
 val of_client : Ddf_client.Client.t -> peer
-(** The remote must speak wire v6; older servers refuse the sync
-    verbs with a typed error. *)
+(** A peer reached through a client connection. *)
 
 type direction = {
   d_from : string;      (** source wsid *)

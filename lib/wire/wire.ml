@@ -1,747 +1,25 @@
-(* The Hercules design-server wire protocol: framed s-expressions over
-   a stream socket.
+(* The Hercules design-server wire protocol: length-prefixed binary
+   frames over a stream socket.
 
-   Framing is a fixed header line ("ddf1 <len>") followed by exactly
-   <len> payload bytes and a newline, so either side reads one message
-   with two exact reads and malformed peers are detected immediately.
-   The payload grammar reuses the persistence codecs (Workspace_file
-   meta form, Codec value form) so the network speaks the same dialect
-   as the disk. *)
+   Every message is described once below — tag byte, text name, typed
+   fields — and both of its forms are derived from that description:
+   the binary body that travels on sockets, and the s-expression text
+   form used by `remote batch` stdin, debug output and test failures.
+   Adding a verb means adding one case. *)
 
 open Ddf_store
 module S = Ddf_persist.Sexp
-module W = Ddf_persist.Workspace_file
 module E = Ddf_core.Error
+module M = Ddf_obs.Metrics
 module Fault = Ddf_fault.Fault
 
-exception Wire_error of string
+include Messages
 
 let wire_errorf fmt = Format.kasprintf (fun s -> raise (Wire_error s)) fmt
 
-type iid = Store.iid
-
-(* Version 1: the PR-2 request/response surface, (hello <user>).
-   Version 2: hello carries (version N), replication (subscribe /
-   repl-ack / lag / compact) and the role/seq stat fields.
-   Version 3: (batch <req>...) pipelining — one frame carrying a
-   sequence of requests, answered by one (ok-batch <resp>...).
-   Version 4: structured error frames (error <code> <msg> <retry>
-   ...) and an optional per-request deadline budget in the frame
-   header.  A v4 side still parses the bare v3 (error <msg>) form.
-   Version 5: the (metrics) verb answered by (ok-metrics ...), and an
-   optional trace-context header token (t=<trace>.<span>).  Both ride
-   in slots a v4 peer never sends, so a v5 server accepts v4 clients
-   — the handshake takes any version in
-   [min_protocol_version, protocol_version].
-   Version 6: anti-entropy sync verbs — (sync-digest) answered by
-   (ok-digest ...), (sync-frames <after> <limit>) / (ok-frames ...),
-   (sync-ack <origin> <upto> <frame>...) / (ok-sync ...) — plus the
-   conflict surface (conflicts) / (ok-conflicts ...) and (resolve
-   <id> <winner>).  All live in slots a v4/v5 peer never sends, so
-   the handshake window stays [4, 6] and older clients interoperate
-   unchanged.
-   Version 7: chunked streaming snapshots.  (snapshot-export) asks the
-   server to compact and stream its on-disk snapshot back as
-   (ok-snapshot-begin <seq> <bytes>), a run of (ok-snapshot-chunk
-   <data>) frames and a final (ok-snapshot-end <md5>); a v7 subscriber
-   whose cursor predates the primary's base is resynced with the same
-   begin/chunk/end run (followed by wal frames) instead of one
-   monolithic (ok-snapshot ...), so neither side ever holds the whole
-   state as a single string.  Negotiated via hello: a v6-or-below
-   subscriber still gets the monolithic form, and (snapshot-export)
-   from such a peer is refused.
-   Version 8: the length-prefixed binary codec.  No new verbs — the
-   same request/response surface rides binary frames (tag byte,
-   fixed-width little-endian ints, length-delimited strings; journal
-   payloads and snapshot chunks as opaque byte slices that are never
-   escaped through an s-expression).  Negotiation stays inside the
-   hello handshake: the hello itself and its reply up to acceptance
-   travel as framed s-expressions, and once a v8 hello is accepted
-   every later frame in both directions is binary.  Receivers always
-   dispatch on the first frame byte (0xD8 = binary, 'd' of "ddf1" =
-   sexp), so a v≤7 peer — or a v8 client forced down with --wire sexp,
-   which simply negotiates v7 — interoperates unchanged. *)
-let protocol_version = 8
-let min_protocol_version = 4
-
-(* The two on-wire codecs.  Which one a connection speaks is a pure
-   function of the negotiated hello version, re-derived per connection
-   (a redial always restarts from [Sexp] until its own hello lands). *)
-type codec = Sexp | Binary
-
-let codec_name = function Sexp -> "sexp" | Binary -> "binary"
-let codec_for_version v = if v >= 8 then Binary else Sexp
-
-(* Streamed snapshots travel in bounded chunks: big enough to amortise
-   framing, small enough that neither peer ever buffers more than a few
-   of them. *)
-let snapshot_chunk_bytes = 256 * 1024
-
-type catalog = Entities | Tools | Flows
-
-type request =
-  | Hello of { user : string; version : int }
-  | Ping
-  | Stat
-  | Catalog of catalog
-  | Browse of Store.filter
-  | Install of {
-      entity : string;
-      label : string;
-      keywords : string list;
-      value : S.t;
-    }
-  | Annotate of {
-      iid : iid;
-      label : string option;
-      comment : string option;
-      keywords : string list option;
-    }
-  | Start_goal of string
-  | Start_data of iid
-  | Expand of int
-  | Specialize of int * string
-  | Select of int * iid list
-  | Node_browse of int * Store.filter
-  | Leaves
-  | Run of int
-  | Render
-  | Recall of iid
-  | Trace of iid
-  | Uses of iid
-  | Refresh of iid
-  | Save_flow of string
-  | Load_flow of string
-  | Shutdown
-  | Subscribe of int
-  | Repl_ack of int
-  | Lag
-  | Compact
-  | Metrics
-  | Sync_digest
-      (** the peer's journal digest, peer cursors and state
-          fingerprint — the anti-entropy handshake *)
-  | Sync_frames of { after : int; limit : int }
-      (** pull at most [limit] wal frames with seqno > [after] *)
-  | Sync_ack of { origin : string; upto : int; frames : (int * string * string) list }
-      (** deliver a batch of [origin]'s frames [(seqno, md5, payload)]
-          for application and advance the origin cursor to [upto]; an
-          empty batch just acknowledges *)
-  | Conflicts
-  | Resolve of { conflict : int; winner : iid }
-  | Snapshot_export
-      (** compact, then stream the on-disk snapshot back as
-          begin/chunk/end frames — the bounded-memory bootstrap verb
-          (v7; handled at connection level like [Subscribe]) *)
-  | Batch of request list
-      (** A pipeline: the requests are executed in order and answered
-          positionally by one [Ok_batch], one frame each way.  An inner
-          failure yields an [Error] at its position; execution
-          continues (the journal has no rollback).  Batches do not
-          nest. *)
-
-type stat = {
-  st_role : string;
-  st_seq : int;
-  st_clock : int;
-  st_instances : int;
-  st_records : int;
-  st_store_tick : int;
-  st_history_tick : int;
-  st_uptime_s : float;
-}
-
-type instance_row = {
-  row_iid : iid;
-  row_entity : string;
-  row_meta : Store.meta;
-}
-
-type lag_row = {
-  lag_follower : string;
-  lag_acked : int;
-  lag_sent : int;
-}
-
-type conflict_row = {
-  cf_id : int;
-  cf_base : iid;
-  cf_ours : iid;
-  cf_theirs : iid;
-  cf_origin : string;
-  cf_at : int;
-  cf_winner : iid option;
-}
-
-type sync_stats = {
-  sy_applied : int;   (** frames whose effects were new here *)
-  sy_skipped : int;   (** frames deduplicated as already present *)
-  sy_conflicts : int; (** divergences registered while applying *)
-  sy_cursor : int;    (** origin seqno applied through, persisted *)
-}
-
-type response =
-  | Ok_unit
-  | Ok_int of int
-  | Ok_ints of int list
-  | Ok_atoms of string list
-  | Ok_text of string
-  | Ok_nodes of (int * string) list
-  | Ok_rows of instance_row list
-  | Ok_stat of stat
-  | Ok_refresh of { fresh : iid; reran : int; reused : int }
-  | Ok_snapshot of { seq : int; data : string }
-  | Ok_snapshot_begin of { seq : int; bytes : int }
-      (** a streamed snapshot follows: [bytes] of workspace save taken
-          at [seq], in {!snapshot_chunk_bytes}-bounded chunks *)
-  | Ok_snapshot_chunk of { data : string }
-  | Ok_snapshot_end of { digest : string }
-      (** md5 hex over the whole reassembled snapshot *)
-  | Ok_frame of { seq : int; payload : string; digest : string }
-  | Ok_lags of { primary_seq : int; rows : lag_row list }
-  | Ok_metrics of Ddf_obs.Metrics.metric list
-  | Ok_digest of {
-      wsid : string;
-      base : int;
-      seq : int;
-      fingerprint : string;
-          (** canonical identity-independent state digest: equal
-              fingerprints mean converged stores/histories *)
-      cursors : (string * int) list;  (** origin wsid -> applied seqno *)
-      entries : (int * string) list;  (** seqno -> frame md5, ascending *)
-    }
-  | Ok_frames of (int * string * string) list  (** (seqno, md5, payload) *)
-  | Ok_sync of sync_stats
-  | Ok_conflicts of conflict_row list
-  | Ok_batch of response list
-  | Error of E.t
-
 (* ------------------------------------------------------------------ *)
-(* Filters                                                             *)
+(* Binary primitives                                                   *)
 (* ------------------------------------------------------------------ *)
-
-(* Optional filter fields are present-or-absent fields of one
-   (filter ...) form. *)
-let filter_to_sexp (f : Store.filter) =
-  let fields = ref [] in
-  let add name items = fields := S.field name items :: !fields in
-  Option.iter (fun es -> add "entities" (List.map S.atom es)) f.Store.f_entities;
-  Option.iter (fun u -> add "user" [ S.atom u ]) f.Store.f_user;
-  Option.iter (fun t -> add "from" [ S.int t ]) f.Store.f_from;
-  Option.iter (fun t -> add "to" [ S.int t ]) f.Store.f_to;
-  if f.Store.f_keywords <> [] then
-    add "keywords" (List.map S.atom f.Store.f_keywords);
-  Option.iter (fun t -> add "text" [ S.atom t ]) f.Store.f_text;
-  S.field "filter" (List.rev !fields)
-
-let filter_of_sexp sexp =
-  match S.as_list sexp with
-  | S.Atom "filter" :: fields ->
-    let opt name f =
-      Option.map (fun items -> f (S.one name items))
-        (S.find_field_opt fields name)
-    in
-    {
-      Store.f_entities =
-        Option.map (List.map S.as_atom) (S.find_field_opt fields "entities");
-      f_user = opt "user" S.as_atom;
-      f_from = opt "from" S.as_int;
-      f_to = opt "to" S.as_int;
-      f_keywords =
-        (match S.find_field_opt fields "keywords" with
-        | Some ks -> List.map S.as_atom ks
-        | None -> []);
-      f_text = opt "text" S.as_atom;
-    }
-  | _ -> wire_errorf "malformed filter"
-
-(* ------------------------------------------------------------------ *)
-(* Requests                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let catalog_name = function
-  | Entities -> "entities"
-  | Tools -> "tools"
-  | Flows -> "flows"
-
-let rec request_to_sexp = function
-  | Hello { user; version } ->
-    S.field "hello" [ S.atom user; S.field "version" [ S.int version ] ]
-  | Ping -> S.atom "ping"
-  | Stat -> S.atom "stat"
-  | Catalog c -> S.field "catalog" [ S.atom (catalog_name c) ]
-  | Browse f -> S.field "browse" [ filter_to_sexp f ]
-  | Install { entity; label; keywords; value } ->
-    S.field "install"
-      [ S.atom entity; S.atom label; S.list (List.map S.atom keywords); value ]
-  | Annotate { iid; label; comment; keywords } ->
-    let fields = ref [] in
-    Option.iter (fun l -> fields := S.field "label" [ S.atom l ] :: !fields) label;
-    Option.iter
-      (fun c -> fields := S.field "comment" [ S.atom c ] :: !fields)
-      comment;
-    Option.iter
-      (fun ks -> fields := S.field "keywords" (List.map S.atom ks) :: !fields)
-      keywords;
-    S.field "annotate" (S.int iid :: List.rev !fields)
-  | Start_goal entity -> S.field "start-goal" [ S.atom entity ]
-  | Start_data iid -> S.field "start-data" [ S.int iid ]
-  | Expand nid -> S.field "expand" [ S.int nid ]
-  | Specialize (nid, sub) -> S.field "specialize" [ S.int nid; S.atom sub ]
-  | Select (nid, iids) ->
-    S.field "select" [ S.int nid; S.list (List.map S.int iids) ]
-  | Node_browse (nid, f) -> S.field "node-browse" [ S.int nid; filter_to_sexp f ]
-  | Leaves -> S.atom "leaves"
-  | Run nid -> S.field "run" [ S.int nid ]
-  | Render -> S.atom "render"
-  | Recall iid -> S.field "recall" [ S.int iid ]
-  | Trace iid -> S.field "trace" [ S.int iid ]
-  | Uses iid -> S.field "uses" [ S.int iid ]
-  | Refresh iid -> S.field "refresh" [ S.int iid ]
-  | Save_flow name -> S.field "save-flow" [ S.atom name ]
-  | Load_flow name -> S.field "load-flow" [ S.atom name ]
-  | Shutdown -> S.atom "shutdown"
-  | Subscribe seq -> S.field "subscribe" [ S.int seq ]
-  | Repl_ack seq -> S.field "repl-ack" [ S.int seq ]
-  | Lag -> S.atom "lag"
-  | Compact -> S.atom "compact"
-  | Metrics -> S.atom "metrics"
-  | Sync_digest -> S.atom "sync-digest"
-  | Sync_frames { after; limit } ->
-    S.field "sync-frames" [ S.int after; S.int limit ]
-  | Sync_ack { origin; upto; frames } ->
-    S.field "sync-ack"
-      (S.atom origin :: S.int upto
-      :: List.map
-           (fun (seq, digest, payload) ->
-             S.list [ S.int seq; S.atom digest; S.atom payload ])
-           frames)
-  | Conflicts -> S.atom "conflicts"
-  | Resolve { conflict; winner } ->
-    S.field "resolve" [ S.int conflict; S.int winner ]
-  | Snapshot_export -> S.atom "snapshot-export"
-  | Batch reqs -> S.field "batch" (List.map request_to_sexp reqs)
-
-let rec request_of_sexp sexp =
-  match sexp with
-  | S.Atom "ping" -> Ping
-  | S.Atom "stat" -> Stat
-  | S.Atom "leaves" -> Leaves
-  | S.Atom "render" -> Render
-  | S.Atom "shutdown" -> Shutdown
-  | S.Atom "lag" -> Lag
-  | S.Atom "compact" -> Compact
-  | S.Atom "metrics" -> Metrics
-  | S.Atom "sync-digest" -> Sync_digest
-  | S.Atom "conflicts" -> Conflicts
-  | S.Atom "snapshot-export" -> Snapshot_export
-  | S.List (S.Atom name :: args) -> (
-    match (name, args) with
-    (* a bare (hello <user>) is the version-1 dialect *)
-    | "hello", [ user ] -> Hello { user = S.as_atom user; version = 1 }
-    | "hello", [ user; S.List [ S.Atom "version"; v ] ] ->
-      Hello { user = S.as_atom user; version = S.as_int v }
-    | "catalog", [ S.Atom "entities" ] -> Catalog Entities
-    | "catalog", [ S.Atom "tools" ] -> Catalog Tools
-    | "catalog", [ S.Atom "flows" ] -> Catalog Flows
-    | "browse", [ f ] -> Browse (filter_of_sexp f)
-    | "install", [ entity; label; keywords; value ] ->
-      Install
-        { entity = S.as_atom entity; label = S.as_atom label;
-          keywords = List.map S.as_atom (S.as_list keywords); value }
-    | "annotate", iid :: fields ->
-      let opt name f =
-        Option.map (fun items -> f (S.one name items))
-          (S.find_field_opt fields name)
-      in
-      Annotate
-        { iid = S.as_int iid; label = opt "label" S.as_atom;
-          comment = opt "comment" S.as_atom;
-          keywords =
-            Option.map (List.map S.as_atom) (S.find_field_opt fields "keywords") }
-    | "start-goal", [ e ] -> Start_goal (S.as_atom e)
-    | "start-data", [ iid ] -> Start_data (S.as_int iid)
-    | "expand", [ nid ] -> Expand (S.as_int nid)
-    | "specialize", [ nid; sub ] -> Specialize (S.as_int nid, S.as_atom sub)
-    | "select", [ nid; iids ] ->
-      Select (S.as_int nid, List.map S.as_int (S.as_list iids))
-    | "node-browse", [ nid; f ] -> Node_browse (S.as_int nid, filter_of_sexp f)
-    | "run", [ nid ] -> Run (S.as_int nid)
-    | "recall", [ iid ] -> Recall (S.as_int iid)
-    | "trace", [ iid ] -> Trace (S.as_int iid)
-    | "uses", [ iid ] -> Uses (S.as_int iid)
-    | "refresh", [ iid ] -> Refresh (S.as_int iid)
-    | "save-flow", [ n ] -> Save_flow (S.as_atom n)
-    | "load-flow", [ n ] -> Load_flow (S.as_atom n)
-    | "subscribe", [ seq ] -> Subscribe (S.as_int seq)
-    | "repl-ack", [ seq ] -> Repl_ack (S.as_int seq)
-    | "sync-frames", [ after; limit ] ->
-      Sync_frames { after = S.as_int after; limit = S.as_int limit }
-    | "sync-ack", origin :: upto :: frames ->
-      Sync_ack
-        { origin = S.as_atom origin; upto = S.as_int upto;
-          frames =
-            List.map
-              (fun s ->
-                match S.as_list s with
-                | [ seq; digest; payload ] ->
-                  (S.as_int seq, S.as_atom digest, S.as_atom payload)
-                | _ -> wire_errorf "malformed sync frame")
-              frames }
-    | "resolve", [ conflict; winner ] ->
-      Resolve { conflict = S.as_int conflict; winner = S.as_int winner }
-    | "batch", reqs -> Batch (List.map request_of_sexp reqs)
-    | _ -> wire_errorf "unknown request %S" name)
-  | _ -> wire_errorf "malformed request"
-
-let request_name = function
-  | Hello _ -> "hello"
-  | Ping -> "ping"
-  | Stat -> "stat"
-  | Catalog _ -> "catalog"
-  | Browse _ -> "browse"
-  | Install _ -> "install"
-  | Annotate _ -> "annotate"
-  | Start_goal _ -> "start-goal"
-  | Start_data _ -> "start-data"
-  | Expand _ -> "expand"
-  | Specialize _ -> "specialize"
-  | Select _ -> "select"
-  | Node_browse _ -> "node-browse"
-  | Leaves -> "leaves"
-  | Run _ -> "run"
-  | Render -> "render"
-  | Recall _ -> "recall"
-  | Trace _ -> "trace"
-  | Uses _ -> "uses"
-  | Refresh _ -> "refresh"
-  | Save_flow _ -> "save-flow"
-  | Load_flow _ -> "load-flow"
-  | Shutdown -> "shutdown"
-  | Subscribe _ -> "subscribe"
-  | Repl_ack _ -> "repl-ack"
-  | Lag -> "lag"
-  | Compact -> "compact"
-  | Metrics -> "metrics"
-  | Sync_digest -> "sync-digest"
-  | Sync_frames _ -> "sync-frames"
-  | Sync_ack _ -> "sync-ack"
-  | Conflicts -> "conflicts"
-  | Resolve _ -> "resolve"
-  | Snapshot_export -> "snapshot-export"
-  | Batch _ -> "batch"
-
-(* Mutations of the shared store/history/clock go through the
-   single-writer loop; everything else (including task-window editing,
-   which touches only the per-connection session) is a read.  Compact
-   counts as a mutation (it rewrites the journal's snapshot); Subscribe
-   and Repl_ack never reach the evaluator — the server's connection
-   loop handles replication mode itself.  A batch is a mutation iff
-   any member is: the whole pipeline then runs as one writer job, so
-   its writes group-commit together. *)
-let rec is_mutation = function
-  | Install _ | Annotate _ | Run _ | Recall _ | Refresh _ | Compact -> true
-  (* the digest and frame pulls are reads of the wal FILE, which only
-     the writer loop may touch (like [Subscribe]'s backlog read) — so
-     they ride the writer too, not just the actual sync mutations *)
-  | Sync_digest | Sync_frames _ | Sync_ack _ | Resolve _ -> true
-  | Batch reqs -> List.exists is_mutation reqs
-  (* Snapshot_export never reaches the evaluator either — the
-     connection loop streams it itself (its compact runs as a writer
-     job inside that handler) *)
-  | Hello _ | Ping | Stat | Catalog _ | Browse _ | Start_goal _ | Start_data _
-  | Expand _ | Specialize _ | Select _ | Node_browse _ | Leaves | Render
-  | Trace _ | Uses _ | Save_flow _ | Load_flow _ | Shutdown | Subscribe _
-  | Repl_ack _ | Lag | Metrics | Conflicts | Snapshot_export ->
-    false
-
-(* ------------------------------------------------------------------ *)
-(* Responses                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Metrics ride the wire as one tagged form per metric: (c <name>
-   <count>), (g <name> <value>), (h <name> <n> <sum> <min> <max> <p50>
-   <p90> <p99>).  [S.float] prints hex floats, so values round-trip
-   exactly. *)
-module M = Ddf_obs.Metrics
-
-let metric_to_sexp = function
-  | M.Counter (n, v) -> S.list [ S.atom "c"; S.atom n; S.int v ]
-  | M.Gauge (n, v) -> S.list [ S.atom "g"; S.atom n; S.float v ]
-  | M.Histogram (n, h) ->
-    S.list
-      [ S.atom "h"; S.atom n; S.int h.M.hs_n; S.float h.M.hs_sum;
-        S.float h.M.hs_min; S.float h.M.hs_max; S.float h.M.hs_p50;
-        S.float h.M.hs_p90; S.float h.M.hs_p99 ]
-
-let metric_of_sexp sexp =
-  match S.as_list sexp with
-  | [ S.Atom "c"; n; v ] -> M.Counter (S.as_atom n, S.as_int v)
-  | [ S.Atom "g"; n; v ] -> M.Gauge (S.as_atom n, S.as_float v)
-  | [ S.Atom "h"; n; cnt; sum; mn; mx; p50; p90; p99 ] ->
-    M.Histogram
-      ( S.as_atom n,
-        { M.hs_n = S.as_int cnt; hs_sum = S.as_float sum;
-          hs_min = S.as_float mn; hs_max = S.as_float mx;
-          hs_p50 = S.as_float p50; hs_p90 = S.as_float p90;
-          hs_p99 = S.as_float p99 } )
-  | _ -> wire_errorf "malformed metric"
-
-let row_to_sexp r =
-  S.list [ S.int r.row_iid; S.atom r.row_entity; W.meta_to_sexp r.row_meta ]
-
-let row_of_sexp sexp =
-  match S.as_list sexp with
-  | [ iid; entity; meta ] ->
-    { row_iid = S.as_int iid; row_entity = S.as_atom entity;
-      row_meta =
-        (try W.meta_of_sexp meta
-         with W.Persist_error m -> wire_errorf "row meta: %s" m) }
-  | _ -> wire_errorf "malformed instance row"
-
-let rec response_to_sexp = function
-  | Ok_unit -> S.atom "ok"
-  | Ok_int n -> S.field "ok-int" [ S.int n ]
-  | Ok_ints ns -> S.field "ok-ints" (List.map S.int ns)
-  | Ok_atoms l -> S.field "ok-atoms" (List.map S.atom l)
-  | Ok_text t -> S.field "ok-text" [ S.atom t ]
-  | Ok_nodes l ->
-    S.field "ok-nodes"
-      (List.map (fun (nid, e) -> S.list [ S.int nid; S.atom e ]) l)
-  | Ok_rows rows -> S.field "ok-rows" (List.map row_to_sexp rows)
-  | Ok_stat st ->
-    S.field "ok-stat"
-      [ S.atom st.st_role; S.int st.st_seq; S.int st.st_clock;
-        S.int st.st_instances; S.int st.st_records; S.int st.st_store_tick;
-        S.int st.st_history_tick; S.float st.st_uptime_s ]
-  | Ok_refresh { fresh; reran; reused } ->
-    S.field "ok-refresh" [ S.int fresh; S.int reran; S.int reused ]
-  | Ok_snapshot { seq; data } ->
-    S.field "ok-snapshot" [ S.int seq; S.atom data ]
-  | Ok_snapshot_begin { seq; bytes } ->
-    S.field "ok-snapshot-begin" [ S.int seq; S.int bytes ]
-  | Ok_snapshot_chunk { data } -> S.field "ok-snapshot-chunk" [ S.atom data ]
-  | Ok_snapshot_end { digest } -> S.field "ok-snapshot-end" [ S.atom digest ]
-  | Ok_frame { seq; payload; digest } ->
-    S.field "ok-frame" [ S.int seq; S.atom digest; S.atom payload ]
-  | Ok_lags { primary_seq; rows } ->
-    S.field "ok-lags"
-      (S.int primary_seq
-      :: List.map
-           (fun r ->
-             S.list
-               [ S.atom r.lag_follower; S.int r.lag_acked; S.int r.lag_sent ])
-           rows)
-  | Ok_metrics ms -> S.field "ok-metrics" (List.map metric_to_sexp ms)
-  | Ok_digest { wsid; base; seq; fingerprint; cursors; entries } ->
-    S.field "ok-digest"
-      [ S.atom wsid; S.int base; S.int seq; S.atom fingerprint;
-        S.list
-          (List.map (fun (o, n) -> S.list [ S.atom o; S.int n ]) cursors);
-        S.list
-          (List.map (fun (s, d) -> S.list [ S.int s; S.atom d ]) entries) ]
-  | Ok_frames frames ->
-    S.field "ok-frames"
-      (List.map
-         (fun (seq, digest, payload) ->
-           S.list [ S.int seq; S.atom digest; S.atom payload ])
-         frames)
-  | Ok_sync { sy_applied; sy_skipped; sy_conflicts; sy_cursor } ->
-    S.field "ok-sync"
-      [ S.int sy_applied; S.int sy_skipped; S.int sy_conflicts;
-        S.int sy_cursor ]
-  | Ok_conflicts rows ->
-    S.field "ok-conflicts"
-      (List.map
-         (fun c ->
-           S.list
-             [ S.int c.cf_id; S.int c.cf_base; S.int c.cf_ours;
-               S.int c.cf_theirs; S.atom c.cf_origin; S.int c.cf_at;
-               (match c.cf_winner with None -> S.atom "-" | Some w -> S.int w) ])
-         rows)
-  | Ok_batch resps -> S.field "ok-batch" (List.map response_to_sexp resps)
-  | Error e ->
-    S.field "error"
-      (S.atom (E.code_to_string e.E.code)
-       :: S.atom e.E.message
-       :: S.atom (if e.E.retryable then "retryable" else "final")
-       :: ((match e.E.retry_after with
-           | Some after -> [ S.field "retry-after" [ S.float after ] ]
-           | None -> [])
-          @
-          match e.E.context with
-          | [] -> []
-          | ctx ->
-            [ S.field "ctx"
-                (List.map
-                   (fun (k, v) -> S.list [ S.atom k; S.atom v ])
-                   ctx) ]))
-
-let rec response_of_sexp sexp =
-  match sexp with
-  | S.Atom "ok" -> Ok_unit
-  | S.List (S.Atom name :: args) -> (
-    match (name, args) with
-    | "ok-int", [ n ] -> Ok_int (S.as_int n)
-    | "ok-ints", ns -> Ok_ints (List.map S.as_int ns)
-    | "ok-atoms", l -> Ok_atoms (List.map S.as_atom l)
-    | "ok-text", [ t ] -> Ok_text (S.as_atom t)
-    | "ok-nodes", l ->
-      Ok_nodes
-        (List.map
-           (fun s ->
-             match S.as_list s with
-             | [ nid; e ] -> (S.as_int nid, S.as_atom e)
-             | _ -> wire_errorf "malformed node")
-           l)
-    | "ok-rows", rows -> Ok_rows (List.map row_of_sexp rows)
-    | "ok-stat", [ role; seq; c; i; r; sti; hti; up ] ->
-      Ok_stat
-        { st_role = S.as_atom role; st_seq = S.as_int seq;
-          st_clock = S.as_int c; st_instances = S.as_int i;
-          st_records = S.as_int r; st_store_tick = S.as_int sti;
-          st_history_tick = S.as_int hti; st_uptime_s = S.as_float up }
-    | "ok-refresh", [ f; re; ru ] ->
-      Ok_refresh
-        { fresh = S.as_int f; reran = S.as_int re; reused = S.as_int ru }
-    | "ok-snapshot", [ seq; data ] ->
-      Ok_snapshot { seq = S.as_int seq; data = S.as_atom data }
-    | "ok-snapshot-begin", [ seq; bytes ] ->
-      Ok_snapshot_begin { seq = S.as_int seq; bytes = S.as_int bytes }
-    | "ok-snapshot-chunk", [ data ] ->
-      Ok_snapshot_chunk { data = S.as_atom data }
-    | "ok-snapshot-end", [ digest ] ->
-      Ok_snapshot_end { digest = S.as_atom digest }
-    | "ok-frame", [ seq; digest; payload ] ->
-      Ok_frame
-        { seq = S.as_int seq; digest = S.as_atom digest;
-          payload = S.as_atom payload }
-    | "ok-lags", primary_seq :: rows ->
-      Ok_lags
-        { primary_seq = S.as_int primary_seq;
-          rows =
-            List.map
-              (fun s ->
-                match S.as_list s with
-                | [ f; a; l ] ->
-                  { lag_follower = S.as_atom f; lag_acked = S.as_int a;
-                    lag_sent = S.as_int l }
-                | _ -> wire_errorf "malformed lag row")
-              rows }
-    | "ok-metrics", ms -> Ok_metrics (List.map metric_of_sexp ms)
-    | "ok-digest", [ wsid; base; seq; fp; cursors; entries ] ->
-      Ok_digest
-        { wsid = S.as_atom wsid; base = S.as_int base; seq = S.as_int seq;
-          fingerprint = S.as_atom fp;
-          cursors =
-            List.map
-              (fun s ->
-                match S.as_list s with
-                | [ o; n ] -> (S.as_atom o, S.as_int n)
-                | _ -> wire_errorf "malformed cursor")
-              (S.as_list cursors);
-          entries =
-            List.map
-              (fun s ->
-                match S.as_list s with
-                | [ seq; d ] -> (S.as_int seq, S.as_atom d)
-                | _ -> wire_errorf "malformed digest entry")
-              (S.as_list entries) }
-    | "ok-frames", frames ->
-      Ok_frames
-        (List.map
-           (fun s ->
-             match S.as_list s with
-             | [ seq; digest; payload ] ->
-               (S.as_int seq, S.as_atom digest, S.as_atom payload)
-             | _ -> wire_errorf "malformed sync frame")
-           frames)
-    | "ok-sync", [ a; s; c; cur ] ->
-      Ok_sync
-        { sy_applied = S.as_int a; sy_skipped = S.as_int s;
-          sy_conflicts = S.as_int c; sy_cursor = S.as_int cur }
-    | "ok-conflicts", rows ->
-      Ok_conflicts
-        (List.map
-           (fun s ->
-             match S.as_list s with
-             | [ id; base; ours; theirs; origin; at; winner ] ->
-               { cf_id = S.as_int id; cf_base = S.as_int base;
-                 cf_ours = S.as_int ours; cf_theirs = S.as_int theirs;
-                 cf_origin = S.as_atom origin; cf_at = S.as_int at;
-                 cf_winner =
-                   (match winner with
-                   | S.Atom "-" -> None
-                   | w -> Some (S.as_int w)) }
-             | _ -> wire_errorf "malformed conflict row")
-           rows)
-    | "ok-batch", resps -> Ok_batch (List.map response_of_sexp resps)
-    (* bare (error <msg>) is the pre-v4 dialect: unclassified, final *)
-    | "error", [ m ] -> Error (E.make ~retryable:false `Internal (S.as_atom m))
-    | "error", code :: msg :: flag :: rest ->
-      let code =
-        match E.code_of_string (S.as_atom code) with
-        | Some c -> c
-        | None -> `Internal (* a code minted by a newer peer *)
-      in
-      let retryable =
-        match S.as_atom flag with
-        | "retryable" -> true
-        | "final" -> false
-        | other -> wire_errorf "bad retry flag %S" other
-      in
-      let retry_after =
-        Option.map
-          (fun items -> S.as_float (S.one "retry-after" items))
-          (S.find_field_opt rest "retry-after")
-      in
-      let context =
-        match S.find_field_opt rest "ctx" with
-        | None -> []
-        | Some items ->
-          List.map
-            (fun s ->
-              match S.as_list s with
-              | [ k; v ] -> (S.as_atom k, S.as_atom v)
-              | _ -> wire_errorf "malformed error context")
-            items
-      in
-      Error (E.make ~context ~retryable ?retry_after code (S.as_atom msg))
-    | _ -> wire_errorf "unknown response %S" name)
-  | _ -> wire_errorf "malformed response"
-
-(* ------------------------------------------------------------------ *)
-(* The v8 binary codec                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Wire traffic accounting, split by codec: encode/decode latency per
-   frame and bytes moved each way.  Surfaced through the Metrics verb,
-   `remote metrics` and `hercules top` like every other registry
-   metric. *)
-let m_bytes_out_sexp = M.counter "wire.sexp.bytes_out"
-let m_bytes_in_sexp = M.counter "wire.sexp.bytes_in"
-let m_bytes_out_bin = M.counter "wire.binary.bytes_out"
-let m_bytes_in_bin = M.counter "wire.binary.bytes_in"
-let h_encode_sexp = M.histogram "wire.sexp.encode_seconds"
-let h_decode_sexp = M.histogram "wire.sexp.decode_seconds"
-let h_encode_bin = M.histogram "wire.binary.encode_seconds"
-let h_decode_bin = M.histogram "wire.binary.decode_seconds"
-
-let bytes_out_counter = function
-  | Sexp -> m_bytes_out_sexp
-  | Binary -> m_bytes_out_bin
-
-let bytes_in_counter = function
-  | Sexp -> m_bytes_in_sexp
-  | Binary -> m_bytes_in_bin
-
-let encode_histogram = function
-  | Sexp -> h_encode_sexp
-  | Binary -> h_encode_bin
-
-let decode_histogram = function
-  | Sexp -> h_decode_sexp
-  | Binary -> h_decode_bin
 
 (* An iovec-style frame list: header buffers interleaved with borrowed
    payload slices.  [gather_write] flushes a whole list with one
@@ -796,7 +74,6 @@ module Enc = struct
   let u32 e n = Buffer.add_int32_le e.buf (Int32.of_int n)
   let int e n = Buffer.add_int64_le e.buf (Int64.of_int n)
   let float e f = Buffer.add_int64_le e.buf (Int64.bits_of_float f)
-  let bool e b = u8 e (if b then 1 else 0)
 
   let str e s =
     u32 e (String.length s);
@@ -811,16 +88,6 @@ module Enc = struct
       e.slices <- Iovec.of_string s :: e.slices
     end
     else Buffer.add_string e.buf s
-
-  let opt e f = function
-    | None -> u8 e 0
-    | Some v ->
-      u8 e 1;
-      f e v
-
-  let list e f l =
-    u32 e (List.length l);
-    List.iter (f e) l
 
   let finish e =
     flush_buf e;
@@ -860,12 +127,6 @@ module Dec = struct
     d.pos <- d.pos + 8;
     v
 
-  let bool d =
-    match u8 d with
-    | 0 -> false
-    | 1 -> true
-    | n -> wire_errorf "bad boolean byte %d" n
-
   let str d =
     let n = u32 d in
     need d n;
@@ -873,606 +134,668 @@ module Dec = struct
     d.pos <- d.pos + n;
     v
 
-  let payload = str
-
-  let opt d f =
-    match u8 d with
-    | 0 -> None
-    | 1 -> Some (f d)
-    | n -> wire_errorf "bad option byte %d" n
-
-  let list d f =
-    let n = u32 d in
-    (* cheap sanity bound: every item costs at least one byte *)
-    need d n;
-    List.init n (fun _ -> f d)
-
   let finished d = d.pos = String.length d.db
 end
 
-(* --- binary forms of the shared sub-structures --- *)
+(* ------------------------------------------------------------------ *)
+(* Field types: one description, four derived codecs                   *)
+(* ------------------------------------------------------------------ *)
 
-let filter_to_bin e (f : Store.filter) =
-  Enc.opt e (fun e -> Enc.list e Enc.str) f.Store.f_entities;
-  Enc.opt e Enc.str f.Store.f_user;
-  Enc.opt e Enc.int f.Store.f_from;
-  Enc.opt e Enc.int f.Store.f_to;
-  Enc.list e Enc.str f.Store.f_keywords;
-  Enc.opt e Enc.str f.Store.f_text
+(* How a value of one field type travels in each form.  The text form
+   is a run of s-expression items: [print] prepends the value's items,
+   [parse] consumes them.  [one] says the type always prints exactly
+   one item — list elements and option bodies of any other type are
+   wrapped in a list of their own. *)
+type 'a ty = {
+  enc : Enc.t -> 'a -> unit;
+  dec : Dec.t -> 'a;
+  print : 'a -> S.t list -> S.t list;
+  parse : S.t list -> 'a * S.t list;
+  one : bool;
+}
 
-let filter_of_bin d =
-  let f_entities = Dec.opt d (fun d -> Dec.list d Dec.str) in
-  let f_user = Dec.opt d Dec.str in
-  let f_from = Dec.opt d Dec.int in
-  let f_to = Dec.opt d Dec.int in
-  let f_keywords = Dec.list d Dec.str in
-  let f_text = Dec.opt d Dec.str in
-  { Store.f_entities; f_user; f_from; f_to; f_keywords; f_text }
+let of_items ty items =
+  match ty.parse items with
+  | v, [] -> v
+  | _, extra :: _ ->
+    wire_errorf "unexpected %s" (S.to_string ~pretty:false extra)
 
-let meta_to_bin e (m : Store.meta) =
-  Enc.str e m.Store.user;
-  Enc.int e m.Store.created_at;
-  Enc.str e m.Store.label;
-  Enc.str e m.Store.comment;
-  Enc.list e Enc.str m.Store.keywords
+let item ~enc ~dec ~to_sexp ~of_sexp =
+  { enc; dec; one = true;
+    print = (fun v rest -> to_sexp v :: rest);
+    parse =
+      (function
+      | x :: rest -> (of_sexp x, rest)
+      | [] -> wire_errorf "missing field") }
 
-let meta_of_bin d =
-  let user = Dec.str d in
-  let created_at = Dec.int d in
-  let label = Dec.str d in
-  let comment = Dec.str d in
-  let keywords = Dec.list d Dec.str in
-  { Store.user; created_at; label; comment; keywords }
+let int = item ~enc:Enc.int ~dec:Dec.int ~to_sexp:S.int ~of_sexp:S.as_int
+let string = item ~enc:Enc.str ~dec:Dec.str ~to_sexp:S.atom ~of_sexp:S.as_atom
 
-let sync_frame_to_bin e (seq, digest, payload) =
-  Enc.int e seq;
-  Enc.str e digest;
-  Enc.payload e payload
+(* IEEE bits on the wire, a hex float in text: exact both ways. *)
+let float =
+  item ~enc:Enc.float ~dec:Dec.float ~to_sexp:S.float ~of_sexp:S.as_float
 
-let sync_frame_of_bin d =
-  let seq = Dec.int d in
-  let digest = Dec.str d in
-  let payload = Dec.payload d in
-  (seq, digest, payload)
+(* Opaque bytes: journal frames, snapshot chunks, rendered text.  The
+   binary body of one at least [zero_copy_min] long is borrowed as its
+   own iovec slice. *)
+let payload =
+  item ~enc:Enc.payload ~dec:Dec.str ~to_sexp:S.atom ~of_sexp:S.as_atom
 
-let pair_to_bin fa fb e (a, b) =
-  fa e a;
-  fb e b
+(* A design-object value: printed once by the sender into an opaque
+   payload, parsed once by the receiver; the text form is the value's
+   own s-expression. *)
+let sexp =
+  item
+    ~enc:(fun e v -> Enc.payload e (S.to_string ~pretty:false v))
+    ~dec:(fun d ->
+      let body = Dec.str d in
+      try S.of_string body with S.Sexp_error m -> wire_errorf "value: %s" m)
+    ~to_sexp:Fun.id ~of_sexp:Fun.id
 
-let pair_of_bin fa fb d =
-  let a = fa d in
-  let b = fb d in
-  (a, b)
+(* One item holding all of [ty]'s items, for list elements and option
+   bodies. *)
+let group ty v =
+  match ty.print v [] with [ x ] when ty.one -> x | items -> S.List items
 
-let error_to_bin e (err : E.t) =
-  Enc.str e (E.code_to_string err.E.code);
-  Enc.str e err.E.message;
-  Enc.bool e err.E.retryable;
-  Enc.opt e Enc.float err.E.retry_after;
-  Enc.list e (pair_to_bin Enc.str Enc.str) err.E.context
+let ungroup ty x =
+  if ty.one then of_items ty [ x ] else of_items ty (S.as_list x)
 
-let error_of_bin d =
-  let code =
-    match E.code_of_string (Dec.str d) with
-    | Some c -> c
-    | None -> `Internal (* a code minted by a newer peer *)
-  in
-  let message = Dec.str d in
-  let retryable = Dec.bool d in
-  let retry_after = Dec.opt d Dec.float in
-  let context = Dec.list d (pair_of_bin Dec.str Dec.str) in
-  E.make ~context ~retryable ?retry_after code message
+let option ty =
+  item
+    ~enc:(fun e -> function
+      | None -> Enc.u8 e 0
+      | Some v ->
+        Enc.u8 e 1;
+        ty.enc e v)
+    ~dec:(fun d ->
+      match Dec.u8 d with
+      | 0 -> None
+      | 1 -> Some (ty.dec d)
+      | n -> wire_errorf "bad option byte %d" n)
+    ~to_sexp:(function None -> S.List [] | Some v -> S.List [ group ty v ])
+    ~of_sexp:(function
+      | S.List [] -> None
+      | S.List [ x ] -> Some (ungroup ty x)
+      | x -> wire_errorf "malformed option %s" (S.to_string ~pretty:false x))
 
-let metric_to_bin e = function
-  | M.Counter (n, v) ->
-    Enc.u8 e 0;
-    Enc.str e n;
-    Enc.int e v
-  | M.Gauge (n, v) ->
-    Enc.u8 e 1;
-    Enc.str e n;
-    Enc.float e v
-  | M.Histogram (n, h) ->
-    Enc.u8 e 2;
-    Enc.str e n;
-    Enc.int e h.M.hs_n;
-    Enc.float e h.M.hs_sum;
-    Enc.float e h.M.hs_min;
-    Enc.float e h.M.hs_max;
-    Enc.float e h.M.hs_p50;
-    Enc.float e h.M.hs_p90;
-    Enc.float e h.M.hs_p99
+let list ty =
+  item
+    ~enc:(fun e l ->
+      Enc.u32 e (List.length l);
+      List.iter (ty.enc e) l)
+    ~dec:(fun d ->
+      let n = Dec.u32 d in
+      (* cheap sanity bound: every item costs at least one byte *)
+      Dec.need d n;
+      List.init n (fun _ -> ty.dec d))
+    ~to_sexp:(fun l -> S.List (List.map (group ty) l))
+    ~of_sexp:(fun x -> List.map (ungroup ty) (S.as_list x))
 
-let metric_of_bin d =
-  match Dec.u8 d with
-  | 0 ->
-    let n = Dec.str d in
-    let v = Dec.int d in
-    M.Counter (n, v)
-  | 1 ->
-    let n = Dec.str d in
-    let v = Dec.float d in
-    M.Gauge (n, v)
-  | 2 ->
-    let n = Dec.str d in
-    let hs_n = Dec.int d in
-    let hs_sum = Dec.float d in
-    let hs_min = Dec.float d in
-    let hs_max = Dec.float d in
-    let hs_p50 = Dec.float d in
-    let hs_p90 = Dec.float d in
-    let hs_p99 = Dec.float d in
-    M.Histogram
-      (n, { M.hs_n; hs_sum; hs_min; hs_max; hs_p50; hs_p90; hs_p99 })
-  | t -> wire_errorf "unknown binary metric tag %d" t
+(* A field the text form spells [(name v)] and leaves out when the
+   value is [absent]; [present] extracts what to print, [inject] wraps
+   what was parsed.  Binary carries [bin]'s bytes positionally. *)
+let named_as name inner ~bin ~present ~inject ~absent =
+  { bin with
+    one = false;
+    print =
+      (fun v rest ->
+        match present v with
+        | None -> rest
+        | Some x -> S.List (S.Atom name :: inner.print x []) :: rest);
+    parse =
+      (function
+      | S.List (S.Atom n :: items) :: rest when n = name ->
+        (inject (of_items inner items), rest)
+      | rest -> (absent, rest)) }
 
-let catalog_to_bin = function Entities -> 0 | Tools -> 1 | Flows -> 2
+(* A named optional field: an option in binary, [(name v)] or nothing
+   in text. *)
+let named name ty =
+  named_as name ty ~bin:(option ty) ~present:Fun.id ~inject:Option.some
+    ~absent:None
 
-let catalog_of_bin = function
-  | 0 -> Entities
-  | 1 -> Tools
-  | 2 -> Flows
-  | t -> wire_errorf "unknown catalog tag %d" t
+(* A list the text form names and leaves out when empty. *)
+let named_list name ty =
+  let l = list ty in
+  named_as name l ~bin:l
+    ~present:(function [] -> None | xs -> Some xs)
+    ~inject:Fun.id ~absent:[]
 
-(* --- requests --- *)
+(* A required group the text form spells [(name fields...)]. *)
+let tagged name ty =
+  item ~enc:ty.enc ~dec:ty.dec
+    ~to_sexp:(fun v -> S.List (S.Atom name :: ty.print v []))
+    ~of_sexp:(function
+      | S.List (S.Atom n :: items) when n = name -> of_items ty items
+      | x ->
+        wire_errorf "expected (%s ...), got %s" name
+          (S.to_string ~pretty:false x))
 
-(* Tag bytes are append-only protocol surface: never renumber. *)
-let rec request_to_bin e = function
-  | Hello { user; version } ->
-    Enc.u8 e 1;
-    Enc.str e user;
-    Enc.int e version
-  | Ping -> Enc.u8 e 2
-  | Stat -> Enc.u8 e 3
-  | Catalog c ->
-    Enc.u8 e 4;
-    Enc.u8 e (catalog_to_bin c)
-  | Browse f ->
-    Enc.u8 e 5;
-    filter_to_bin e f
-  | Install { entity; label; keywords; value } ->
-    Enc.u8 e 6;
-    Enc.str e entity;
-    Enc.str e label;
-    Enc.list e Enc.str keywords;
-    (* the design-object value rides as one opaque body: printed once
-       here, parsed once by the evaluator, never re-framed between *)
-    Enc.payload e (S.to_string ~pretty:false value)
-  | Annotate { iid; label; comment; keywords } ->
-    Enc.u8 e 7;
-    Enc.int e iid;
-    Enc.opt e Enc.str label;
-    Enc.opt e Enc.str comment;
-    Enc.opt e (fun e -> Enc.list e Enc.str) keywords
-  | Start_goal entity ->
-    Enc.u8 e 8;
-    Enc.str e entity
-  | Start_data iid ->
-    Enc.u8 e 9;
-    Enc.int e iid
-  | Expand nid ->
-    Enc.u8 e 10;
-    Enc.int e nid
-  | Specialize (nid, sub) ->
-    Enc.u8 e 11;
-    Enc.int e nid;
-    Enc.str e sub
-  | Select (nid, iids) ->
-    Enc.u8 e 12;
-    Enc.int e nid;
-    Enc.list e Enc.int iids
-  | Node_browse (nid, f) ->
-    Enc.u8 e 13;
-    Enc.int e nid;
-    filter_to_bin e f
-  | Leaves -> Enc.u8 e 14
-  | Run nid ->
-    Enc.u8 e 15;
-    Enc.int e nid
-  | Render -> Enc.u8 e 16
-  | Recall iid ->
-    Enc.u8 e 17;
-    Enc.int e iid
-  | Trace iid ->
-    Enc.u8 e 18;
-    Enc.int e iid
-  | Uses iid ->
-    Enc.u8 e 19;
-    Enc.int e iid
-  | Refresh iid ->
-    Enc.u8 e 20;
-    Enc.int e iid
-  | Save_flow name ->
-    Enc.u8 e 21;
-    Enc.str e name
-  | Load_flow name ->
-    Enc.u8 e 22;
-    Enc.str e name
-  | Shutdown -> Enc.u8 e 23
-  | Subscribe seq ->
-    Enc.u8 e 24;
-    Enc.int e seq
-  | Repl_ack seq ->
-    Enc.u8 e 25;
-    Enc.int e seq
-  | Lag -> Enc.u8 e 26
-  | Compact -> Enc.u8 e 27
-  | Metrics -> Enc.u8 e 28
-  | Sync_digest -> Enc.u8 e 29
-  | Sync_frames { after; limit } ->
-    Enc.u8 e 30;
-    Enc.int e after;
-    Enc.int e limit
-  | Sync_ack { origin; upto; frames } ->
-    Enc.u8 e 31;
-    Enc.str e origin;
-    Enc.int e upto;
-    Enc.list e sync_frame_to_bin frames
-  | Conflicts -> Enc.u8 e 32
-  | Resolve { conflict; winner } ->
-    Enc.u8 e 33;
-    Enc.int e conflict;
-    Enc.int e winner
-  | Snapshot_export -> Enc.u8 e 34
-  | Batch reqs ->
-    Enc.u8 e 35;
-    Enc.list e request_to_bin reqs
+let unit =
+  { enc = (fun _ () -> ()); dec = (fun _ -> ()); one = false;
+    print = (fun () rest -> rest); parse = (fun items -> ((), items)) }
 
-let rec request_of_bin d =
-  match Dec.u8 d with
-  | 1 ->
-    let user = Dec.str d in
-    let version = Dec.int d in
-    Hello { user; version }
-  | 2 -> Ping
-  | 3 -> Stat
-  | 4 -> Catalog (catalog_of_bin (Dec.u8 d))
-  | 5 -> Browse (filter_of_bin d)
-  | 6 ->
-    let entity = Dec.str d in
-    let label = Dec.str d in
-    let keywords = Dec.list d Dec.str in
-    let value =
-      let body = Dec.payload d in
-      try S.of_string body
-      with S.Sexp_error m -> wire_errorf "install value: %s" m
-    in
-    Install { entity; label; keywords; value }
-  | 7 ->
-    let iid = Dec.int d in
-    let label = Dec.opt d Dec.str in
-    let comment = Dec.opt d Dec.str in
-    let keywords = Dec.opt d (fun d -> Dec.list d Dec.str) in
-    Annotate { iid; label; comment; keywords }
-  | 8 -> Start_goal (Dec.str d)
-  | 9 -> Start_data (Dec.int d)
-  | 10 -> Expand (Dec.int d)
-  | 11 ->
-    let nid = Dec.int d in
-    let sub = Dec.str d in
-    Specialize (nid, sub)
-  | 12 ->
-    let nid = Dec.int d in
-    let iids = Dec.list d Dec.int in
-    Select (nid, iids)
-  | 13 ->
-    let nid = Dec.int d in
-    let f = filter_of_bin d in
-    Node_browse (nid, f)
-  | 14 -> Leaves
-  | 15 -> Run (Dec.int d)
-  | 16 -> Render
-  | 17 -> Recall (Dec.int d)
-  | 18 -> Trace (Dec.int d)
-  | 19 -> Uses (Dec.int d)
-  | 20 -> Refresh (Dec.int d)
-  | 21 -> Save_flow (Dec.str d)
-  | 22 -> Load_flow (Dec.str d)
-  | 23 -> Shutdown
-  | 24 -> Subscribe (Dec.int d)
-  | 25 -> Repl_ack (Dec.int d)
-  | 26 -> Lag
-  | 27 -> Compact
-  | 28 -> Metrics
-  | 29 -> Sync_digest
-  | 30 ->
-    let after = Dec.int d in
-    let limit = Dec.int d in
-    Sync_frames { after; limit }
-  | 31 ->
-    let origin = Dec.str d in
-    let upto = Dec.int d in
-    let frames = Dec.list d sync_frame_of_bin in
-    Sync_ack { origin; upto; frames }
-  | 32 -> Conflicts
-  | 33 ->
-    let conflict = Dec.int d in
-    let winner = Dec.int d in
-    Resolve { conflict; winner }
-  | 34 -> Snapshot_export
-  | 35 -> Batch (Dec.list d request_of_bin)
-  | t -> wire_errorf "unknown binary request tag %d" t
+let conv inj proj ty =
+  { enc = (fun e v -> ty.enc e (proj v));
+    dec = (fun d -> inj (ty.dec d));
+    print = (fun v rest -> ty.print (proj v) rest);
+    parse =
+      (fun items ->
+        let v, rest = ty.parse items in
+        (inj v, rest));
+    one = ty.one }
 
-(* --- responses --- *)
+(* Fields in sequence. *)
+let t2 a b =
+  { enc =
+      (fun e (x, y) ->
+        a.enc e x;
+        b.enc e y);
+    dec =
+      (fun d ->
+        let x = a.dec d in
+        let y = b.dec d in
+        (x, y));
+    print = (fun (x, y) rest -> a.print x (b.print y rest));
+    parse =
+      (fun items ->
+        let x, items = a.parse items in
+        let y, items = b.parse items in
+        ((x, y), items));
+    one = false }
 
-let rec response_to_bin e = function
-  | Ok_unit -> Enc.u8 e 1
-  | Ok_int n ->
-    Enc.u8 e 2;
-    Enc.int e n
-  | Ok_ints ns ->
-    Enc.u8 e 3;
-    Enc.list e Enc.int ns
-  | Ok_atoms l ->
-    Enc.u8 e 4;
-    Enc.list e Enc.str l
-  | Ok_text t ->
-    Enc.u8 e 5;
-    Enc.payload e t
-  | Ok_nodes l ->
-    Enc.u8 e 6;
-    Enc.list e (pair_to_bin Enc.int Enc.str) l
-  | Ok_rows rows ->
-    Enc.u8 e 7;
-    Enc.list e
-      (fun e r ->
-        Enc.int e r.row_iid;
-        Enc.str e r.row_entity;
-        meta_to_bin e r.row_meta)
-      rows
-  | Ok_stat st ->
-    Enc.u8 e 8;
-    Enc.str e st.st_role;
-    Enc.int e st.st_seq;
-    Enc.int e st.st_clock;
-    Enc.int e st.st_instances;
-    Enc.int e st.st_records;
-    Enc.int e st.st_store_tick;
-    Enc.int e st.st_history_tick;
-    Enc.float e st.st_uptime_s
-  | Ok_refresh { fresh; reran; reused } ->
-    Enc.u8 e 9;
-    Enc.int e fresh;
-    Enc.int e reran;
-    Enc.int e reused
-  | Ok_snapshot { seq; data } ->
-    Enc.u8 e 10;
-    Enc.int e seq;
-    Enc.payload e data
-  | Ok_snapshot_begin { seq; bytes } ->
-    Enc.u8 e 11;
-    Enc.int e seq;
-    Enc.int e bytes
-  | Ok_snapshot_chunk { data } ->
-    Enc.u8 e 12;
-    Enc.payload e data
-  | Ok_snapshot_end { digest } ->
-    Enc.u8 e 13;
-    Enc.str e digest
-  | Ok_frame { seq; payload; digest } ->
-    Enc.u8 e 14;
-    Enc.int e seq;
-    Enc.str e digest;
-    Enc.payload e payload
-  | Ok_lags { primary_seq; rows } ->
-    Enc.u8 e 15;
-    Enc.int e primary_seq;
-    Enc.list e
-      (fun e r ->
-        Enc.str e r.lag_follower;
-        Enc.int e r.lag_acked;
-        Enc.int e r.lag_sent)
-      rows
-  | Ok_metrics ms ->
-    Enc.u8 e 16;
-    Enc.list e metric_to_bin ms
-  | Ok_digest { wsid; base; seq; fingerprint; cursors; entries } ->
-    Enc.u8 e 17;
-    Enc.str e wsid;
-    Enc.int e base;
-    Enc.int e seq;
-    Enc.str e fingerprint;
-    Enc.list e (pair_to_bin Enc.str Enc.int) cursors;
-    Enc.list e (pair_to_bin Enc.int Enc.str) entries
-  | Ok_frames frames ->
-    Enc.u8 e 18;
-    Enc.list e sync_frame_to_bin frames
-  | Ok_sync { sy_applied; sy_skipped; sy_conflicts; sy_cursor } ->
-    Enc.u8 e 19;
-    Enc.int e sy_applied;
-    Enc.int e sy_skipped;
-    Enc.int e sy_conflicts;
-    Enc.int e sy_cursor
-  | Ok_conflicts rows ->
-    Enc.u8 e 20;
-    Enc.list e
-      (fun e c ->
-        Enc.int e c.cf_id;
-        Enc.int e c.cf_base;
-        Enc.int e c.cf_ours;
-        Enc.int e c.cf_theirs;
-        Enc.str e c.cf_origin;
-        Enc.int e c.cf_at;
-        Enc.opt e Enc.int c.cf_winner)
-      rows
-  | Ok_batch resps ->
-    Enc.u8 e 21;
-    Enc.list e response_to_bin resps
-  | Error err ->
-    Enc.u8 e 22;
-    error_to_bin e err
+let t3 a b c =
+  conv (fun (x, (y, z)) -> (x, y, z)) (fun (x, y, z) -> (x, (y, z)))
+    (t2 a (t2 b c))
 
-let rec response_of_bin d =
-  match Dec.u8 d with
-  | 1 -> Ok_unit
-  | 2 -> Ok_int (Dec.int d)
-  | 3 -> Ok_ints (Dec.list d Dec.int)
-  | 4 -> Ok_atoms (Dec.list d Dec.str)
-  | 5 -> Ok_text (Dec.payload d)
-  | 6 -> Ok_nodes (Dec.list d (pair_of_bin Dec.int Dec.str))
-  | 7 ->
-    Ok_rows
-      (Dec.list d (fun d ->
-           let row_iid = Dec.int d in
-           let row_entity = Dec.str d in
-           let row_meta = meta_of_bin d in
-           { row_iid; row_entity; row_meta }))
-  | 8 ->
-    let st_role = Dec.str d in
-    let st_seq = Dec.int d in
-    let st_clock = Dec.int d in
-    let st_instances = Dec.int d in
-    let st_records = Dec.int d in
-    let st_store_tick = Dec.int d in
-    let st_history_tick = Dec.int d in
-    let st_uptime_s = Dec.float d in
-    Ok_stat
-      { st_role; st_seq; st_clock; st_instances; st_records; st_store_tick;
-        st_history_tick; st_uptime_s }
-  | 9 ->
-    let fresh = Dec.int d in
-    let reran = Dec.int d in
-    let reused = Dec.int d in
-    Ok_refresh { fresh; reran; reused }
-  | 10 ->
-    let seq = Dec.int d in
-    let data = Dec.payload d in
-    Ok_snapshot { seq; data }
-  | 11 ->
-    let seq = Dec.int d in
-    let bytes = Dec.int d in
-    Ok_snapshot_begin { seq; bytes }
-  | 12 -> Ok_snapshot_chunk { data = Dec.payload d }
-  | 13 -> Ok_snapshot_end { digest = Dec.str d }
-  | 14 ->
-    let seq = Dec.int d in
-    let digest = Dec.str d in
-    let payload = Dec.payload d in
-    Ok_frame { seq; payload; digest }
-  | 15 ->
-    let primary_seq = Dec.int d in
-    let rows =
-      Dec.list d (fun d ->
-          let lag_follower = Dec.str d in
-          let lag_acked = Dec.int d in
-          let lag_sent = Dec.int d in
-          { lag_follower; lag_acked; lag_sent })
-    in
-    Ok_lags { primary_seq; rows }
-  | 16 -> Ok_metrics (Dec.list d metric_of_bin)
-  | 17 ->
-    let wsid = Dec.str d in
-    let base = Dec.int d in
-    let seq = Dec.int d in
-    let fingerprint = Dec.str d in
-    let cursors = Dec.list d (pair_of_bin Dec.str Dec.int) in
-    let entries = Dec.list d (pair_of_bin Dec.int Dec.str) in
-    Ok_digest { wsid; base; seq; fingerprint; cursors; entries }
-  | 18 -> Ok_frames (Dec.list d sync_frame_of_bin)
-  | 19 ->
-    let sy_applied = Dec.int d in
-    let sy_skipped = Dec.int d in
-    let sy_conflicts = Dec.int d in
-    let sy_cursor = Dec.int d in
-    Ok_sync { sy_applied; sy_skipped; sy_conflicts; sy_cursor }
-  | 20 ->
-    Ok_conflicts
-      (Dec.list d (fun d ->
-           let cf_id = Dec.int d in
-           let cf_base = Dec.int d in
-           let cf_ours = Dec.int d in
-           let cf_theirs = Dec.int d in
-           let cf_origin = Dec.str d in
-           let cf_at = Dec.int d in
-           let cf_winner = Dec.opt d Dec.int in
-           { cf_id; cf_base; cf_ours; cf_theirs; cf_origin; cf_at; cf_winner }))
-  | 21 -> Ok_batch (Dec.list d response_of_bin)
-  | 22 -> Error (error_of_bin d)
-  | t -> wire_errorf "unknown binary response tag %d" t
+let t4 a b c d =
+  conv (fun (w, (x, y, z)) -> (w, x, y, z)) (fun (w, x, y, z) -> (w, (x, y, z)))
+    (t2 a (t3 b c d))
 
-(* String forms of the binary codec, for the property tests and the
-   codec bench (the socket paths below keep the iovec form). *)
-let encode_to_string enc v =
+let t5 a b c d e =
+  conv (fun (v, (w, x, y, z)) -> (v, w, x, y, z))
+    (fun (v, w, x, y, z) -> (v, (w, x, y, z)))
+    (t2 a (t4 b c d e))
+
+let t6 a b c d e f =
+  conv (fun (u, (v, w, x, y, z)) -> (u, v, w, x, y, z))
+    (fun (u, v, w, x, y, z) -> (u, (v, w, x, y, z)))
+    (t2 a (t5 b c d e f))
+
+let t7 a b c d e f g =
+  conv (fun (s, (u, v, w, x, y, z)) -> (s, u, v, w, x, y, z))
+    (fun (s, u, v, w, x, y, z) -> (s, (u, v, w, x, y, z)))
+    (t2 a (t6 b c d e f g))
+
+let t8 a b c d e f g h =
+  conv (fun (r, (s, u, v, w, x, y, z)) -> (r, s, u, v, w, x, y, z))
+    (fun (r, s, u, v, w, x, y, z) -> (r, (s, u, v, w, x, y, z)))
+    (t2 a (t7 b c d e f g h))
+
+(* A variant: one case per constructor — its tag byte (binary), its
+   name (text), its fields, the two functions between the fields and
+   the constructor, and (for requests) whether it must go through the
+   server's single-writer loop.  Tags are append-only protocol surface:
+   never renumber, and never reuse a retired one. *)
+type 'm case =
+  | Case : {
+      tag : int;
+      name : string;
+      args : 'a ty;
+      inj : 'a -> 'm;
+      proj : 'm -> 'a option;
+      mutation : bool;
+    }
+      -> 'm case
+
+let case ?(mutation = false) tag name args inj proj =
+  Case { tag; name; args; inj; proj; mutation }
+
+(* A constant constructor: no fields, prints as a bare atom, and is
+   recognised by physical equality. *)
+let const ?mutation tag name v =
+  case ?mutation tag name unit
+    (fun () -> v)
+    (fun m -> if m == v then Some () else None)
+
+let rec case_of what m = function
+  | [] -> wire_errorf "no %s case describes this value" what
+  | (Case c as k) :: rest ->
+    if Option.is_some (c.proj m) then k else case_of what m rest
+
+let union what cases =
+  let by_tag = Array.make 256 None and by_name = Hashtbl.create 64 in
+  List.iter
+    (fun (Case c as k) ->
+      by_tag.(c.tag) <- Some k;
+      Hashtbl.replace by_name c.name k)
+    cases;
+  item
+    ~enc:(fun e m ->
+      let (Case c) = case_of what m cases in
+      Enc.u8 e c.tag;
+      c.args.enc e (Option.get (c.proj m)))
+    ~dec:(fun d ->
+      let tag = Dec.u8 d in
+      match by_tag.(tag) with
+      | Some (Case c) -> c.inj (c.args.dec d)
+      | None -> wire_errorf "unknown %s tag %d" what tag)
+    ~to_sexp:(fun m ->
+      let (Case c) = case_of what m cases in
+      match c.args.print (Option.get (c.proj m)) [] with
+      | [] -> S.Atom c.name
+      | items -> S.List (S.Atom c.name :: items))
+    ~of_sexp:(fun x ->
+      let name, items =
+        match x with
+        | S.Atom n -> (n, [])
+        | S.List (S.Atom n :: items) -> (n, items)
+        | _ -> wire_errorf "malformed %s %s" what (S.to_string ~pretty:false x)
+      in
+      match Hashtbl.find_opt by_name name with
+      | Some (Case c) -> c.inj (of_items c.args items)
+      | None -> wire_errorf "unknown %s %S" what name)
+
+(* A recursive reference, forced on first use. *)
+let delay l =
+  { enc = (fun e v -> (Lazy.force l).enc e v);
+    dec = (fun d -> (Lazy.force l).dec d);
+    print = (fun v rest -> (Lazy.force l).print v rest);
+    parse = (fun items -> (Lazy.force l).parse items);
+    one = true }
+
+(* ------------------------------------------------------------------ *)
+(* The message description                                             *)
+(* ------------------------------------------------------------------ *)
+
+let bool = union "bool" [ const 0 "final" false; const 1 "retryable" true ]
+
+let catalog =
+  union "catalog"
+    [ const 0 "entities" Entities; const 1 "tools" Tools;
+      const 2 "flows" Flows ]
+
+let filter =
+  tagged "filter"
+    (conv
+       (fun (f_entities, f_user, f_from, f_to, f_keywords, f_text) ->
+         { Store.f_entities; f_user; f_from; f_to; f_keywords; f_text })
+       (fun (f : Store.filter) ->
+         (f.f_entities, f.f_user, f.f_from, f.f_to, f.f_keywords, f.f_text))
+       (t6
+          (named "entities" (list string))
+          (named "user" string) (named "from" int) (named "to" int)
+          (named_list "keywords" string) (named "text" string)))
+
+let meta =
+  conv
+    (fun (user, created_at, label, comment, keywords) ->
+      { Store.user; created_at; label; comment; keywords })
+    (fun (m : Store.meta) ->
+      (m.user, m.created_at, m.label, m.comment, m.keywords))
+    (t5 string int string string (list string))
+
+(* (seqno, md5, payload) *)
+let sync_frame = t3 int string payload
+
+let error =
+  conv
+    (fun (code, message, retryable, retry_after, context) ->
+      { E.code; message; retryable; retry_after; context })
+    (fun (e : E.t) ->
+      (e.code, e.message, e.retryable, e.retry_after, e.context))
+    (t5
+       (conv
+          (fun s ->
+            (* a code minted by a newer peer *)
+            Option.value (E.code_of_string s) ~default:`Internal)
+          E.code_to_string string)
+       string bool (named "retry-after" float)
+       (named_list "ctx" (t2 string string)))
+
+let histogram =
+  conv
+    (fun (hs_n, hs_sum, hs_min, hs_max, hs_p50, hs_p90, hs_p99) ->
+      { M.hs_n; hs_sum; hs_min; hs_max; hs_p50; hs_p90; hs_p99 })
+    (fun (h : M.histo) ->
+      (h.hs_n, h.hs_sum, h.hs_min, h.hs_max, h.hs_p50, h.hs_p90, h.hs_p99))
+    (t7 int float float float float float float)
+
+let metric =
+  union "metric"
+    [ case 0 "c" (t2 string int)
+        (fun (n, v) -> M.Counter (n, v))
+        (function M.Counter (n, v) -> Some (n, v) | _ -> None);
+      case 1 "g" (t2 string float)
+        (fun (n, v) -> M.Gauge (n, v))
+        (function M.Gauge (n, v) -> Some (n, v) | _ -> None);
+      case 2 "h" (t2 string histogram)
+        (fun (n, h) -> M.Histogram (n, h))
+        (function M.Histogram (n, h) -> Some (n, h) | _ -> None) ]
+
+(* A mutation of the shared store/history/clock goes through the
+   single-writer loop; everything else (including task-window editing,
+   which touches only the per-connection session) is a read.  Compact
+   counts as a mutation (it rewrites the journal's snapshot), and so do
+   the sync digest and frame pulls: they read the wal FILE, which only
+   the writer loop may touch.  Subscribe, Repl_ack and Snapshot_export
+   never reach the evaluator — the server's connection loop handles
+   them itself. *)
+let rec request_cases =
+  lazy
+    [ case 1 "hello" (t2 string int)
+        (fun (user, version) -> Hello { user; version })
+        (function Hello { user; version } -> Some (user, version) | _ -> None);
+      const 2 "ping" Ping;
+      const 3 "stat" Stat;
+      case 4 "catalog" catalog
+        (fun c -> Catalog c)
+        (function Catalog c -> Some c | _ -> None);
+      case 5 "browse" filter
+        (fun f -> Browse f)
+        (function Browse f -> Some f | _ -> None);
+      case ~mutation:true 6 "install" (t4 string string (list string) sexp)
+        (fun (entity, label, keywords, value) ->
+          Install { entity; label; keywords; value })
+        (function
+          | Install { entity; label; keywords; value } ->
+            Some (entity, label, keywords, value)
+          | _ -> None);
+      case ~mutation:true 7 "annotate"
+        (t4 int (named "label" string) (named "comment" string)
+           (named "keywords" (list string)))
+        (fun (iid, label, comment, keywords) ->
+          Annotate { iid; label; comment; keywords })
+        (function
+          | Annotate { iid; label; comment; keywords } ->
+            Some (iid, label, comment, keywords)
+          | _ -> None);
+      case 8 "start-goal" string
+        (fun e -> Start_goal e)
+        (function Start_goal e -> Some e | _ -> None);
+      case 9 "start-data" int
+        (fun i -> Start_data i)
+        (function Start_data i -> Some i | _ -> None);
+      case 10 "expand" int
+        (fun n -> Expand n)
+        (function Expand n -> Some n | _ -> None);
+      case 11 "specialize" (t2 int string)
+        (fun (n, sub) -> Specialize (n, sub))
+        (function Specialize (n, sub) -> Some (n, sub) | _ -> None);
+      case 12 "select" (t2 int (list int))
+        (fun (n, iids) -> Select (n, iids))
+        (function Select (n, iids) -> Some (n, iids) | _ -> None);
+      case 13 "node-browse" (t2 int filter)
+        (fun (n, f) -> Node_browse (n, f))
+        (function Node_browse (n, f) -> Some (n, f) | _ -> None);
+      const 14 "leaves" Leaves;
+      case ~mutation:true 15 "run" int
+        (fun n -> Run n)
+        (function Run n -> Some n | _ -> None);
+      const 16 "render" Render;
+      case ~mutation:true 17 "recall" int
+        (fun i -> Recall i)
+        (function Recall i -> Some i | _ -> None);
+      case 18 "trace" int
+        (fun i -> Trace i)
+        (function Trace i -> Some i | _ -> None);
+      case 19 "uses" int
+        (fun i -> Uses i)
+        (function Uses i -> Some i | _ -> None);
+      case ~mutation:true 20 "refresh" int
+        (fun i -> Refresh i)
+        (function Refresh i -> Some i | _ -> None);
+      case 21 "save-flow" string
+        (fun n -> Save_flow n)
+        (function Save_flow n -> Some n | _ -> None);
+      case 22 "load-flow" string
+        (fun n -> Load_flow n)
+        (function Load_flow n -> Some n | _ -> None);
+      const 23 "shutdown" Shutdown;
+      case 24 "subscribe" int
+        (fun s -> Subscribe s)
+        (function Subscribe s -> Some s | _ -> None);
+      case 25 "repl-ack" int
+        (fun s -> Repl_ack s)
+        (function Repl_ack s -> Some s | _ -> None);
+      const 26 "lag" Lag;
+      const ~mutation:true 27 "compact" Compact;
+      const 28 "metrics" Metrics;
+      const ~mutation:true 29 "sync-digest" Sync_digest;
+      case ~mutation:true 30 "sync-frames" (t2 int int)
+        (fun (after, limit) -> Sync_frames { after; limit })
+        (function
+          | Sync_frames { after; limit } -> Some (after, limit)
+          | _ -> None);
+      case ~mutation:true 31 "sync-ack" (t3 string int (list sync_frame))
+        (fun (origin, upto, frames) -> Sync_ack { origin; upto; frames })
+        (function
+          | Sync_ack { origin; upto; frames } -> Some (origin, upto, frames)
+          | _ -> None);
+      const 32 "conflicts" Conflicts;
+      case ~mutation:true 33 "resolve" (t2 int int)
+        (fun (conflict, winner) -> Resolve { conflict; winner })
+        (function
+          | Resolve { conflict; winner } -> Some (conflict, winner)
+          | _ -> None);
+      const 34 "snapshot-export" Snapshot_export;
+      case 35 "batch" (list (delay request))
+        (fun rs -> Batch rs)
+        (function Batch rs -> Some rs | _ -> None) ]
+
+and request = lazy (union "request" (Lazy.force request_cases))
+
+let request = Lazy.force request
+
+let rec response_cases =
+  lazy
+    [ const 1 "ok" Ok_unit;
+      case 2 "ok-int" int
+        (fun n -> Ok_int n)
+        (function Ok_int n -> Some n | _ -> None);
+      case 3 "ok-ints" (list int)
+        (fun ns -> Ok_ints ns)
+        (function Ok_ints ns -> Some ns | _ -> None);
+      case 4 "ok-atoms" (list string)
+        (fun l -> Ok_atoms l)
+        (function Ok_atoms l -> Some l | _ -> None);
+      case 5 "ok-text" payload
+        (fun t -> Ok_text t)
+        (function Ok_text t -> Some t | _ -> None);
+      case 6 "ok-nodes" (list (t2 int string))
+        (fun l -> Ok_nodes l)
+        (function Ok_nodes l -> Some l | _ -> None);
+      case 7 "ok-rows"
+        (list
+           (conv
+              (fun (row_iid, row_entity, row_meta) ->
+                { row_iid; row_entity; row_meta })
+              (fun r -> (r.row_iid, r.row_entity, r.row_meta))
+              (t3 int string meta)))
+        (fun rows -> Ok_rows rows)
+        (function Ok_rows rows -> Some rows | _ -> None);
+      case 8 "ok-stat"
+        (t8 string int int int int int int float)
+        (fun ( st_role, st_seq, st_clock, st_instances, st_records,
+               st_store_tick, st_history_tick, st_uptime_s ) ->
+          Ok_stat
+            { st_role; st_seq; st_clock; st_instances; st_records;
+              st_store_tick; st_history_tick; st_uptime_s })
+        (function
+          | Ok_stat s ->
+            Some
+              ( s.st_role, s.st_seq, s.st_clock, s.st_instances, s.st_records,
+                s.st_store_tick, s.st_history_tick, s.st_uptime_s )
+          | _ -> None);
+      case 9 "ok-refresh" (t3 int int int)
+        (fun (fresh, reran, reused) -> Ok_refresh { fresh; reran; reused })
+        (function
+          | Ok_refresh { fresh; reran; reused } -> Some (fresh, reran, reused)
+          | _ -> None);
+      (* tag 10 is reserved: a retired response *)
+      case 11 "ok-snapshot-begin" (t2 int int)
+        (fun (seq, bytes) -> Ok_snapshot_begin { seq; bytes })
+        (function
+          | Ok_snapshot_begin { seq; bytes } -> Some (seq, bytes)
+          | _ -> None);
+      case 12 "ok-snapshot-chunk" payload
+        (fun data -> Ok_snapshot_chunk { data })
+        (function Ok_snapshot_chunk { data } -> Some data | _ -> None);
+      case 13 "ok-snapshot-end" string
+        (fun digest -> Ok_snapshot_end { digest })
+        (function Ok_snapshot_end { digest } -> Some digest | _ -> None);
+      case 14 "ok-frame" sync_frame
+        (fun (seq, digest, payload) -> Ok_frame { seq; payload; digest })
+        (function
+          | Ok_frame { seq; payload; digest } -> Some (seq, digest, payload)
+          | _ -> None);
+      case 15 "ok-lags"
+        (t2 int
+           (list
+              (conv
+                 (fun (lag_follower, lag_acked, lag_sent) ->
+                   { lag_follower; lag_acked; lag_sent })
+                 (fun r -> (r.lag_follower, r.lag_acked, r.lag_sent))
+                 (t3 string int int))))
+        (fun (primary_seq, rows) -> Ok_lags { primary_seq; rows })
+        (function
+          | Ok_lags { primary_seq; rows } -> Some (primary_seq, rows)
+          | _ -> None);
+      case 16 "ok-metrics" (list metric)
+        (fun ms -> Ok_metrics ms)
+        (function Ok_metrics ms -> Some ms | _ -> None);
+      case 17 "ok-digest"
+        (t6 string int int string (list (t2 string int)) (list (t2 int string)))
+        (fun (wsid, base, seq, fingerprint, cursors, entries) ->
+          Ok_digest { wsid; base; seq; fingerprint; cursors; entries })
+        (function
+          | Ok_digest { wsid; base; seq; fingerprint; cursors; entries } ->
+            Some (wsid, base, seq, fingerprint, cursors, entries)
+          | _ -> None);
+      case 18 "ok-frames" (list sync_frame)
+        (fun fs -> Ok_frames fs)
+        (function Ok_frames fs -> Some fs | _ -> None);
+      case 19 "ok-sync" (t4 int int int int)
+        (fun (sy_applied, sy_skipped, sy_conflicts, sy_cursor) ->
+          Ok_sync { sy_applied; sy_skipped; sy_conflicts; sy_cursor })
+        (function
+          | Ok_sync s ->
+            Some (s.sy_applied, s.sy_skipped, s.sy_conflicts, s.sy_cursor)
+          | _ -> None);
+      case 20 "ok-conflicts"
+        (list
+           (conv
+              (fun ( cf_id, cf_base, cf_ours, cf_theirs, cf_origin, cf_at,
+                     cf_winner ) ->
+                { cf_id; cf_base; cf_ours; cf_theirs; cf_origin; cf_at;
+                  cf_winner })
+              (fun c ->
+                ( c.cf_id, c.cf_base, c.cf_ours, c.cf_theirs, c.cf_origin,
+                  c.cf_at, c.cf_winner ))
+              (t7 int int int int string int (option int))))
+        (fun rows -> Ok_conflicts rows)
+        (function Ok_conflicts rows -> Some rows | _ -> None);
+      case 21 "ok-batch" (list (delay response))
+        (fun rs -> Ok_batch rs)
+        (function Ok_batch rs -> Some rs | _ -> None);
+      case 22 "error" error
+        (fun e -> Error e)
+        (function Error e -> Some e | _ -> None) ]
+
+and response = lazy (union "response" (Lazy.force response_cases))
+
+let response = Lazy.force response
+let request_name r =
+  let (Case c) = case_of "request" r (Lazy.force request_cases) in
+  c.name
+
+let response_name r =
+  let (Case c) = case_of "response" r (Lazy.force response_cases) in
+  c.name
+
+(* A batch is a mutation iff any member is: the whole pipeline then runs
+   as one writer job, so its writes group-commit together. *)
+let rec is_mutation = function
+  | Batch reqs -> List.exists is_mutation reqs
+  | r ->
+    let (Case c) = case_of "request" r (Lazy.force request_cases) in
+    c.mutation
+
+(* ------------------------------------------------------------------ *)
+(* Whole-message forms                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let encode_to_string ty v =
   let e = Enc.create () in
-  enc e v;
+  ty.enc e v;
   Iovec.concat (Enc.finish e)
 
-let decode_of_string dec s =
+let decode_of_string ty s =
   let d = Dec.of_string s in
-  let v = dec d in
+  let v = ty.dec d in
   if not (Dec.finished d) then
     wire_errorf "trailing bytes in binary frame (%d of %d consumed)" d.Dec.pos
       (String.length s);
   v
 
-let request_to_binary_string = encode_to_string request_to_bin
-let request_of_binary_string = decode_of_string request_of_bin
-let response_to_binary_string = encode_to_string response_to_bin
-let response_of_binary_string = decode_of_string response_of_bin
+let request_to_binary_string = encode_to_string request
+let request_of_binary_string = decode_of_string request
+let response_to_binary_string = encode_to_string response
+let response_of_binary_string = decode_of_string response
+
+let to_text ty v = S.to_string ~pretty:false (group ty v)
+
+let of_text ty s =
+  try ungroup ty (S.of_string s) with S.Sexp_error m -> wire_errorf "%s" m
+
+let request_to_text = to_text request
+let request_of_text = of_text request
+let response_to_text = to_text response
+let response_of_text = of_text response
 
 (* ------------------------------------------------------------------ *)
 (* Framed socket I/O                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Wire traffic accounting: encode/decode latency per frame and bytes
+   moved each way.  Surfaced through the Metrics verb, `remote
+   metrics` and `hercules top` like every other registry metric. *)
+let m_bytes_out = M.counter "wire.binary.bytes_out"
+let m_bytes_in = M.counter "wire.binary.bytes_in"
+let h_encode = M.histogram "wire.binary.encode_seconds"
+let h_decode = M.histogram "wire.binary.decode_seconds"
+
 let max_frame = 64 * 1024 * 1024
 
-let write_all fd bytes =
-  let n = Bytes.length bytes in
-  let rec go off =
-    if off < n then
-      match Unix.write fd bytes off (n - off) with
-      | 0 -> wire_errorf "peer closed the connection mid-write"
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
-        wire_errorf "peer closed the connection"
-  in
-  go 0
-
-(* One fault-checked flush of an iovec frame list.  Both codecs funnel
-   through here, so a "wire.send" fault (fail / torn) covers them
-   equally: [Torn k] writes the first [k] bytes of the flattened batch
-   and dies, exactly as the old single-string path did. *)
+(* One fault-checked flush of an iovec frame list: a "wire.send" fault
+   (fail / torn) covers every sender.  [Torn k] writes the first [k]
+   bytes of the flattened batch and dies. *)
 let flush_slices fd slices =
   match Fault.check "wire.send" with
   | Some (Fault.Torn k) ->
     (* the sender dies mid-frame: the peer sees a truncated message *)
     let msg = Iovec.concat slices in
-    (try write_all fd (Bytes.of_string (String.sub msg 0 (min k (String.length msg))))
-     with Wire_error _ -> ());
+    (try ignore (Unix.write_substring fd msg 0 (min k (String.length msg)))
+     with Unix.Unix_error _ -> ());
     raise (Fault.Injected "wire.send")
   | Some Fault.Fail -> raise (Fault.Injected "wire.send")
   | Some (Fault.Delay _) | None -> (
-    try ignore (Iovec.gather_write fd (Array.of_list slices) (Iovec.total slices))
+    try
+      ignore
+        (Iovec.gather_write fd (Array.of_list slices) (Iovec.total slices))
     with Unix.Unix_error (Unix.EPIPE, _, _) ->
       wire_errorf "peer closed the connection")
 
-let sexp_header ?deadline_ms ?trace len =
-  Printf.sprintf "ddf1 %d%s%s\n" len
-    (match deadline_ms with
-    | None -> ""
-    | Some ms -> Printf.sprintf " %d" ms)
-    (match trace with
-    | None -> ""
-    | Some ctx -> " " ^ Ddf_obs.Obs.span_ctx_to_token ctx)
+(* A frame: 0xd8 magic, flags byte (bit0 deadline, bit1 trace), u32-LE
+   body length, then the optional header fields in flag order (u32-LE
+   deadline ms; u8-length-prefixed trace token), then the body. *)
+let magic = '\xd8'
 
-let sexp_frame ?deadline_ms ?trace payload =
-  sexp_header ?deadline_ms ?trace (String.length payload) ^ payload ^ "\n"
-
-let send ?deadline_ms ?trace fd sexp =
-  let msg = sexp_frame ?deadline_ms ?trace (S.to_string sexp) in
-  flush_slices fd [ Iovec.of_string msg ]
-
-(* A binary frame: 0xd8 magic, flags byte (bit0 deadline, bit1 trace),
-   u32-LE body length, then the optional header fields in flag order
-   (u32-LE deadline ms; u8-length-prefixed trace token), then the
-   body. *)
-let binary_magic = '\xd8'
-
-let binary_frame ?deadline_ms ?trace body_slices =
+let frame ?deadline_ms ?trace body_slices =
   let blen = Iovec.total body_slices in
   if blen > max_frame then wire_errorf "oversized frame (%d bytes)" blen;
   let h = Buffer.create 48 in
-  Buffer.add_char h binary_magic;
+  Buffer.add_char h magic;
   let flags =
     (if deadline_ms = None then 0 else 1) lor if trace = None then 0 else 2
   in
@@ -1480,7 +803,9 @@ let binary_frame ?deadline_ms ?trace body_slices =
   Buffer.add_int32_le h (Int32.of_int blen);
   (match deadline_ms with
   | None -> ()
-  | Some ms -> Buffer.add_int32_le h (Int32.of_int (max 0 ms)));
+  | Some ms ->
+    (* a budget past the u32 field saturates instead of wrapping *)
+    Buffer.add_int32_le h (Int32.of_int (min 0xFFFFFFFF (max 0 ms))));
   (match trace with
   | None -> ()
   | Some ctx ->
@@ -1489,55 +814,30 @@ let binary_frame ?deadline_ms ?trace body_slices =
     Buffer.add_string h tok);
   Iovec.of_string (Buffer.contents h) :: body_slices
 
-let encode_request_frame ?deadline_ms ?trace codec req =
-  match codec with
-  | Sexp ->
-    [ Iovec.of_string
-        (sexp_frame ?deadline_ms ?trace (S.to_string (request_to_sexp req))) ]
-  | Binary ->
-    let e = Enc.create () in
-    request_to_bin e req;
-    binary_frame ?deadline_ms ?trace (Enc.finish e)
-
-let encode_response_frame ?deadline_ms ?trace codec resp =
-  match codec with
-  | Sexp ->
-    [ Iovec.of_string
-        (sexp_frame ?deadline_ms ?trace (S.to_string (response_to_sexp resp))) ]
-  | Binary ->
-    let e = Enc.create () in
-    response_to_bin e resp;
-    binary_frame ?deadline_ms ?trace (Enc.finish e)
-
-let instrument_encode codec enc =
+let encode_frame ?deadline_ms ?trace ty v =
   let t0 = Unix.gettimeofday () in
-  let slices = enc () in
-  M.observe (encode_histogram codec) (Unix.gettimeofday () -. t0);
-  M.incr ~by:(Iovec.total slices) (bytes_out_counter codec);
+  let e = Enc.create () in
+  ty.enc e v;
+  let slices = frame ?deadline_ms ?trace (Enc.finish e) in
+  M.observe h_encode (Unix.gettimeofday () -. t0);
+  M.incr ~by:(Iovec.total slices) m_bytes_out;
   slices
 
-let send_request ?deadline_ms ?trace codec fd req =
-  flush_slices fd
-    (instrument_encode codec (fun () ->
-         encode_request_frame ?deadline_ms ?trace codec req))
+let send_request ?deadline_ms ?trace fd req =
+  flush_slices fd (encode_frame ?deadline_ms ?trace request req)
 
-let send_response ?deadline_ms ?trace codec fd resp =
-  flush_slices fd
-    (instrument_encode codec (fun () ->
-         encode_response_frame ?deadline_ms ?trace codec resp))
+let send_response ?deadline_ms ?trace fd resp =
+  flush_slices fd (encode_frame ?deadline_ms ?trace response resp)
 
 (* A whole group of responses as one flush: the frame lists are
    chained and hit the kernel in a single gathered write — this is the
    replication outbox's group-commit fan-out path. *)
-let send_response_batch codec fd items =
-  match items with
+let send_response_batch fd = function
   | [] -> ()
   | items ->
     flush_slices fd
       (List.concat_map
-         (fun (resp, trace) ->
-           instrument_encode codec (fun () ->
-               encode_response_frame ?trace codec resp))
+         (fun (resp, trace) -> encode_frame ?trace response resp)
          items)
 
 (* Read exactly [n] bytes; [None] when the stream ends cleanly at a
@@ -1555,174 +855,151 @@ let read_exact fd n =
   in
   go 0
 
-(* One byte of lookahead: every receiver sniffs the first byte of a
-   frame (0xd8 = binary, 'd' of "ddf1" = sexp), so a server can read
-   the sexp hello of a peer whose version it does not yet know and
-   binary frames the moment the handshake settles. *)
-let read_byte fd =
-  let byte = Bytes.create 1 in
-  match Unix.read fd byte 0 1 with
-  | 0 -> None
-  | _ -> Some (Bytes.get byte 0)
-  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None
+let read_more fd n =
+  match read_exact fd n with
+  | Some b -> b
+  | None -> wire_errorf "truncated frame header"
 
-let read_header_line_from fd first =
-  let buf = Buffer.create 24 in
-  Buffer.add_char buf first;
-  let byte = Bytes.create 1 in
-  let rec go () =
-    match Unix.read fd byte 0 1 with
-    | 0 -> wire_errorf "truncated header"
-    | _ ->
-      if Bytes.get byte 0 = '\n' then Buffer.contents buf
-      else begin
-        if Buffer.length buf > 64 then wire_errorf "oversized frame header";
-        Buffer.add_char buf (Bytes.get byte 0);
-        go ()
-      end
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-      wire_errorf "connection reset mid-header"
-  in
-  go ()
-
-type frame_meta = {
-  fm_deadline_ms : int option;
-  fm_trace : Ddf_obs.Obs.span_ctx option;
-}
-
-(* Header tokens after the length are recognised by shape — digits are
-   a deadline budget, "t=..." a trace context — so either, both (in
-   that order) or neither may appear and old peers stay parseable. *)
-let parse_sexp_header header =
-  match String.split_on_char ' ' header with
-  | "ddf1" :: len :: rest ->
-    let len =
-      match int_of_string_opt len with
-      | Some n when n >= 0 && n <= max_frame -> n
-      | Some _ | None -> wire_errorf "bad frame length %S" len
-    in
-    let meta =
-      List.fold_left
-        (fun meta tok ->
-          if String.length tok >= 2 && String.sub tok 0 2 = "t=" then
-            match Ddf_obs.Obs.span_ctx_of_token tok with
-            | Some ctx -> { meta with fm_trace = Some ctx }
-            | None -> wire_errorf "bad trace token %S" tok
-          else
-            match int_of_string_opt tok with
-            | Some n when n >= 0 -> { meta with fm_deadline_ms = Some n }
-            | Some _ | None -> wire_errorf "bad frame header %S" header)
-        { fm_deadline_ms = None; fm_trace = None }
-        rest
-    in
-    (len, meta)
-  | _ -> wire_errorf "bad frame header %S" header
-
-(* The raw body of one frame, still undecoded; the constructor records
-   which codec it arrived in. *)
-type raw_frame = Raw_sexp of string | Raw_binary of string
-
-let recv_sexp_rest fd first =
-  let header = read_header_line_from fd first in
-  let len, meta = parse_sexp_header header in
-  match read_exact fd (len + 1) with
-  | None -> wire_errorf "truncated frame"
-  | Some bytes ->
-    if Bytes.get bytes len <> '\n' then wire_errorf "missing frame terminator";
-    let payload = Bytes.sub_string bytes 0 len in
-    (Raw_sexp payload, meta, String.length header + 1 + len + 1)
-
-let recv_binary_rest fd =
-  match read_exact fd 5 with
-  | None -> wire_errorf "truncated binary frame header"
+(* One frame's body, its header fields and its size on the wire;
+   [None] on clean EOF at a frame boundary. *)
+let recv_frame fd =
+  match read_exact fd 6 with
+  | None -> None
   | Some hdr ->
-    let flags = Char.code (Bytes.get hdr 0) in
-    if flags land lnot 3 <> 0 then
-      wire_errorf "bad binary frame flags 0x%x" flags;
-    let blen = Int32.to_int (Bytes.get_int32_le hdr 1) land 0xFFFFFFFF in
-    if blen > max_frame then wire_errorf "oversized binary frame (%d bytes)" blen;
+    if Bytes.get hdr 0 <> magic then
+      wire_errorf "not a protocol v%d frame (first byte 0x%02x)"
+        protocol_version
+        (Char.code (Bytes.get hdr 0));
+    let flags = Char.code (Bytes.get hdr 1) in
+    if flags land lnot 3 <> 0 then wire_errorf "bad frame flags 0x%x" flags;
+    let blen = Int32.to_int (Bytes.get_int32_le hdr 2) land 0xFFFFFFFF in
+    if blen > max_frame then wire_errorf "oversized frame (%d bytes)" blen;
     let hbytes = ref 6 in
     let fm_deadline_ms =
       if flags land 1 = 0 then None
-      else
-        match read_exact fd 4 with
-        | None -> wire_errorf "truncated binary frame header"
-        | Some b ->
-          hbytes := !hbytes + 4;
-          Some (Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF)
+      else begin
+        hbytes := !hbytes + 4;
+        Some
+          (Int32.to_int (Bytes.get_int32_le (read_more fd 4) 0) land 0xFFFFFFFF)
+      end
     in
     let fm_trace =
       if flags land 2 = 0 then None
       else
-        match read_exact fd 1 with
-        | None -> wire_errorf "truncated binary frame header"
-        | Some n -> (
-          let n = Char.code (Bytes.get n 0) in
-          match read_exact fd n with
-          | None -> wire_errorf "truncated binary frame header"
-          | Some tok -> (
-            hbytes := !hbytes + 1 + n;
-            let tok = Bytes.to_string tok in
-            match Ddf_obs.Obs.span_ctx_of_token tok with
-            | Some ctx -> Some ctx
-            | None -> wire_errorf "bad trace token %S" tok))
+        let n = Char.code (Bytes.get (read_more fd 1) 0) in
+        let tok = Bytes.to_string (read_more fd n) in
+        hbytes := !hbytes + 1 + n;
+        match Ddf_obs.Obs.span_ctx_of_token tok with
+        | Some ctx -> Some ctx
+        | None -> wire_errorf "bad trace token %S" tok
     in
     let body =
       match read_exact fd blen with
-      | None -> wire_errorf "truncated binary frame"
       | Some b -> Bytes.unsafe_to_string b
+      | None -> wire_errorf "truncated frame"
     in
-    (Raw_binary body, { fm_deadline_ms; fm_trace }, !hbytes + blen)
+    Some (body, { fm_deadline_ms; fm_trace }, !hbytes + blen)
 
-(* [None] on clean EOF at a frame boundary. *)
-let recv_raw fd =
-  match read_byte fd with
+let recv ty fd =
+  match recv_frame fd with
   | None -> None
-  | Some c when c = binary_magic -> Some (recv_binary_rest fd)
-  | Some c -> Some (recv_sexp_rest fd c)
+  | Some (body, meta, nbytes) ->
+    let t0 = Unix.gettimeofday () in
+    let v = decode_of_string ty body in
+    M.observe h_decode (Unix.gettimeofday () -. t0);
+    M.incr ~by:nbytes m_bytes_in;
+    Some (v, meta)
 
-let parse_sexp_payload payload =
-  try S.of_string payload with S.Sexp_error m -> wire_errorf "payload: %s" m
+let recv_request fd = recv request fd
+let recv_response fd = recv response fd
 
-let recv_meta fd =
-  match recv_raw fd with
-  | None -> None
-  | Some (Raw_binary _, _, _) ->
-    wire_errorf "unexpected binary frame on a sexp connection"
-  | Some (Raw_sexp payload, meta, _) -> Some (parse_sexp_payload payload, meta)
+(* Dial a server's socket and say hello.  A server refusing us (at
+   capacity) may answer and hang up before reading the hello, so a
+   failed send still leaves its reason to read. *)
+let connect ?timeout ~user socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match
+    (try Unix.connect fd (Unix.ADDR_UNIX socket)
+     with Unix.Unix_error (e, _, _) ->
+       wire_errorf "cannot connect to %s: %s" socket (Unix.error_message e));
+    Option.iter
+      (fun s ->
+        try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
+        with Unix.Unix_error _ | Invalid_argument _ -> ())
+      timeout;
+    (try send_request fd (Hello { user; version = protocol_version })
+     with Wire_error _ | Unix.Unix_error _ -> ());
+    match recv_response fd with
+    | Some (Ok_unit, _) -> ()
+    | Some (Error err, _) -> raise (E.Ddf_error err)
+    | Some (resp, _) ->
+      wire_errorf "unexpected %s answer to hello" (response_name resp)
+    | None -> wire_errorf "%s closed the connection during hello" socket
+    | exception Unix.Unix_error (e, _, _) ->
+      wire_errorf "%s" (Unix.error_message e)
+  with
+  | () -> fd
+  | exception e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
 
-let recv_deadline fd =
-  Option.map (fun (sexp, meta) -> (sexp, meta.fm_deadline_ms)) (recv_meta fd)
+let m_snapshots_streamed = M.counter "replica.snapshots_streamed"
 
-let recv fd = Option.map fst (recv_meta fd)
-
-let instrument_decode raw nbytes dec_sexp dec_bin =
-  let t0 = Unix.gettimeofday () in
-  let codec, v =
-    match raw with
-    | Raw_sexp payload -> (Sexp, dec_sexp (parse_sexp_payload payload))
-    | Raw_binary body -> (Binary, decode_of_string dec_bin body)
+(* Stream a pinned snapshot descriptor as begin/chunk/end frames.  The
+   caller opened [sfd] while the writer was excluded, so the descriptor
+   pins the snapshot inode — a later compaction renames a fresh file
+   into place but cannot disturb these bytes.  Two passes: one for the
+   md5, one for the chunks; at no point is more than one chunk in
+   memory.  Closes [sfd]. *)
+let send_snapshot fd ~seq sfd =
+  let ic = Unix.in_channel_of_descr sfd in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  let size = in_channel_length ic in
+  seek_in ic 0;
+  let digest = Digest.to_hex (Digest.channel ic size) in
+  seek_in ic 0;
+  send_response fd (Ok_snapshot_begin { seq; bytes = size });
+  let buf = Bytes.create snapshot_chunk_bytes in
+  let rec go remaining =
+    if remaining > 0 then begin
+      let k = min remaining (Bytes.length buf) in
+      really_input ic buf 0 k;
+      send_response fd (Ok_snapshot_chunk { data = Bytes.sub_string buf 0 k });
+      go (remaining - k)
+    end
   in
-  M.observe (decode_histogram codec) (Unix.gettimeofday () -. t0);
-  M.incr ~by:nbytes (bytes_in_counter codec);
-  (v, codec)
+  go size;
+  send_response fd (Ok_snapshot_end { digest });
+  M.incr m_snapshots_streamed
 
-(* Typed receive: sniffs the codec per frame, so a connection can
-   switch from sexp to binary mid-stream when a v8 hello is accepted.
-   Returns the frame's codec so servers can answer a pre-hello frame
-   in kind. *)
-let recv_request fd =
-  match recv_raw fd with
-  | None -> None
-  | Some (raw, meta, nbytes) ->
-    let req, codec = instrument_decode raw nbytes request_of_sexp request_of_bin in
-    Some (req, meta, codec)
-
-let recv_response fd =
-  match recv_raw fd with
-  | None -> None
-  | Some (raw, meta, nbytes) ->
-    let resp, codec =
-      instrument_decode raw nbytes response_of_sexp response_of_bin
-    in
-    Some (resp, meta, codec)
+(* Spool the rest of a streamed snapshot, after its
+   [Ok_snapshot_begin], into [path]: chunk frames until
+   [Ok_snapshot_end], whose digest covers the whole file.  Only one
+   chunk is ever held in memory; on any failure the file is removed. *)
+let recv_snapshot fd ~bytes path =
+  let oc = open_out_bin path in
+  let fail e =
+    close_out_noerr oc;
+    (try Sys.remove path with Sys_error _ -> ());
+    raise e
+  in
+  let failf fmt = Format.kasprintf (fun m -> fail (Wire_error m)) fmt in
+  let rec chunks received =
+    match recv_response fd with
+    | Some (Ok_snapshot_chunk { data }, _) ->
+      output_string oc data;
+      chunks (received + String.length data)
+    | Some (Ok_snapshot_end { digest }, _) ->
+      close_out oc;
+      if received <> bytes then
+        failf "snapshot stream ended short: %d of %d bytes" received bytes;
+      if not (String.equal (Digest.to_hex (Digest.file path)) digest) then
+        failf "snapshot stream failed its checksum"
+    | Some (Error err, _) -> fail (E.Ddf_error err)
+    | Some _ -> failf "unexpected message inside a snapshot stream"
+    | None -> failf "peer closed the stream mid-snapshot"
+    | exception (Wire_error _ as e) -> fail e
+    | exception Unix.Unix_error (e, _, _) ->
+      failf "snapshot stream: %s" (Unix.error_message e)
+  in
+  chunks 0

@@ -1,29 +1,24 @@
 (** The Hercules design-server wire protocol.
 
-    Two codecs share the socket.  The s-expression codec frames each
-    message as
+    One protocol version, one socket framing.  Every frame is
 
-    {v ddf1 <payload-bytes> [<deadline-ms>] [t=<trace>.<span>]\n<payload>\n v}
+    {v 0xd8 | flags u8 | body-length u32-LE | [deadline-ms u32-LE] | [u8-len trace token] | body v}
 
-    so both sides can read exactly one message without scanning.  The
-    optional extra header tokens are recognised by shape: a run of
-    digits is the sender's remaining deadline budget in milliseconds —
-    how long it is still willing to wait for the answer; the server
-    sheds requests it cannot start in time — and a [t=]-prefixed token
-    is a trace context ({!Ddf_obs.Obs.span_ctx_to_token}) linking the
-    receiver's spans into the sender's distributed trace.
+    where flag bit 0 announces the deadline field — the sender's
+    remaining budget in milliseconds, how long it is still willing to
+    wait for the answer (the server sheds requests it cannot start in
+    time) — and flag bit 1 the trace context
+    ({!Ddf_obs.Obs.span_ctx_to_token}) linking the receiver's spans
+    into the sender's distributed trace.  The body is a tag byte and
+    the message's fields: fixed-width little-endian ints, IEEE float
+    bits, length-delimited strings.  Design-object values, journal
+    frames and snapshot chunks ride in it as opaque length-delimited
+    byte slices the codec never re-encodes.
 
-    The v8 {e binary} codec carries the same meta in a fixed header —
-    [0xd8] magic, a flags byte, a u32-LE body length, then the flagged
-    optional fields — followed by a tag-byte-dispatched body of
-    fixed-width ints and length-delimited strings.  Design-object
-    values, journal frames and snapshot chunks ride in it as opaque
-    length-delimited byte slices the codec never re-encodes.  Every
-    receiver sniffs the first byte of each frame (0xd8 vs the ['d'] of
-    ["ddf1"]), so the codec can switch mid-connection: a hello always
-    travels as sexp, and once a server {e accepts} a v8 hello, every
-    later frame in both directions — the hello reply included — is
-    binary.
+    Each message is described once — tag byte, text name, typed fields
+    — and both of its codecs are derived from that description: the
+    binary body above, and an s-expression text form for
+    [remote batch] stdin, debug output and test failures.
 
     The request surface mirrors {!Ddf_session.Session}: catalog
     queries, task-window construction (expand / specialize / select),
@@ -31,303 +26,102 @@
     auth-lite client identity ([Hello]) that the server maps onto
     [Store.meta.user] for every mutation the client performs. *)
 
-exception Wire_error of string
+(** {1 Messages}
 
-type iid = Ddf_store.Store.iid
+    The protocol version, every request and response, and a frame's
+    header fields, declared once in {!Messages}. *)
 
-val protocol_version : int
-(** The dialect this build speaks (8).  The [Hello] handshake carries
-    the client's version; a server refuses clients outside
-    [[min_protocol_version, protocol_version]] with a typed error
-    before serving anything else.  Version 4 added structured error
-    frames and the deadline header token; version 5 added the
-    [Metrics] verb and the trace-context header token; version 6 the
-    anti-entropy sync verbs ([Sync_digest] / [Sync_frames] /
-    [Sync_ack]) and the conflict surface ([Conflicts] / [Resolve]);
-    version 7 adds chunked streaming snapshots ([Snapshot_export] and
-    the [Ok_snapshot_begin]/[Ok_snapshot_chunk]/[Ok_snapshot_end]
-    responses, also used to resync a v7 subscriber); version 8 adds no
-    verbs — it switches the connection to the length-prefixed binary
-    codec after the handshake.  All verb additions live in slots older
-    peers never send, so v4–v7 clients interoperate unchanged — a
-    v≤7 peer simply keeps the sexp codec both ways. *)
-
-val min_protocol_version : int
-(** The oldest client dialect a server of this build accepts (4). *)
-
-type codec = Sexp | Binary
-(** Which on-wire encoding a connection speaks.  Derived from the
-    negotiated hello version per connection ({!codec_for_version}); a
-    redial always restarts from [Sexp] until its own hello lands. *)
-
-val codec_name : codec -> string
-val codec_for_version : int -> codec
-(** [Binary] for negotiated version ≥ 8, [Sexp] below. *)
-
-val snapshot_chunk_bytes : int
-(** Chunk size of a streamed snapshot (both the [Subscribe] resync and
-    [Snapshot_export] paths): the most snapshot data either peer holds
-    in memory at once, per frame. *)
-
-type catalog = Entities | Tools | Flows
-
-type request =
-  | Hello of { user : string; version : int }
-      (** client identity (user) + protocol version; a version-1 peer
-          sends a bare [(hello <user>)], decoded as [version = 1] *)
-  | Ping
-  | Stat
-  | Catalog of catalog
-  | Browse of Ddf_store.Store.filter     (** whole-store browse *)
-  | Install of {
-      entity : string;
-      label : string;
-      keywords : string list;
-      value : Ddf_persist.Sexp.t;        (** {!Ddf_persist.Codec} form *)
-    }
-  | Annotate of {
-      iid : iid;
-      label : string option;
-      comment : string option;
-      keywords : string list option;
-    }
-  | Start_goal of string
-  | Start_data of iid
-  | Expand of int
-  | Specialize of int * string
-  | Select of int * iid list
-  | Node_browse of int * Ddf_store.Store.filter
-  | Leaves                               (** current flow's leaves *)
-  | Run of int
-  | Render                               (** ASCII task window *)
-  | Recall of iid
-  | Trace of iid                         (** derivation trace, rendered *)
-  | Uses of iid
-  | Refresh of iid                       (** [Consistency.refresh] *)
-  | Save_flow of string
-  | Load_flow of string
-  | Shutdown
-  | Subscribe of int
-      (** follower → primary: stream me every journal entry with seqno
-          greater than this (0 = from the beginning).  The connection
-          switches into replication mode: the server answers with an
-          optional [Ok_snapshot] followed by an unbounded stream of
-          [Ok_frame]s, and reads only [Repl_ack]s from then on. *)
-  | Repl_ack of int                      (** follower → primary: applied
-                                             through this seqno (no
-                                             response) *)
-  | Lag                                  (** per-follower replication lag *)
-  | Compact                              (** admin: fold the journal into
-                                             a fresh snapshot now *)
-  | Metrics                              (** the server's metrics registry
-                                             snapshot (v5) *)
-  | Sync_digest
-      (** v6 anti-entropy handshake: the server's workspace id, journal
-          base/seq, wal digest (seqno → frame md5), per-origin applied
-          cursors and canonical state fingerprint — everything a peer
-          needs to locate the common prefix and resume a sync *)
-  | Sync_frames of { after : int; limit : int }
-      (** v6: pull at most [limit] wal frames with seqno > [after] *)
-  | Sync_ack of { origin : string; upto : int; frames : (int * string * string) list }
-      (** v6: deliver a batch of [origin]'s frames [(seqno, md5,
-          payload)] for application through the writer loop and
-          advance the persisted origin cursor to [upto]; an empty
-          batch just acknowledges.  This is the push half of a sync
-          round — a mutation. *)
-  | Conflicts                            (** v6: the sync-conflict registry *)
-  | Resolve of { conflict : int; winner : iid }
-      (** v6: pick the winning version of a surfaced conflict *)
-  | Snapshot_export
-      (** v7: compact, then stream the on-disk snapshot back as
-          [Ok_snapshot_begin], [Ok_snapshot_chunk]s and
-          [Ok_snapshot_end] — the bounded-memory bootstrap/backup
-          verb.  Handled at connection level (like [Subscribe]);
-          refused for peers that negotiated below 7. *)
-  | Batch of request list
-      (** a pipeline: the requests run in order and are answered
-          positionally by one [Ok_batch] — one frame each way.  An
-          inner failure yields an [Error] at its position and
-          execution continues (journaled effects of earlier members
-          are not rolled back).  A batch containing a mutation runs as
-          one writer job, so its writes group-commit together; batches
-          do not nest. *)
-
-type stat = {
-  st_role : string;                      (** "primary" or "follower" *)
-  st_seq : int;                          (** last journaled seqno *)
-  st_clock : int;
-  st_instances : int;
-  st_records : int;
-  st_store_tick : int;
-  st_history_tick : int;
-  st_uptime_s : float;
-}
-
-type instance_row = {
-  row_iid : iid;
-  row_entity : string;
-  row_meta : Ddf_store.Store.meta;
-}
-
-type lag_row = {
-  lag_follower : string;                 (** follower identity (hello user) *)
-  lag_acked : int;                       (** last seqno it acknowledged *)
-  lag_sent : int;                        (** last seqno sent to it *)
-}
-
-type conflict_row = {
-  cf_id : int;
-  cf_base : iid;                         (** the version both sides edited *)
-  cf_ours : iid;                         (** the local alternative *)
-  cf_theirs : iid;                       (** the synced-in alternative *)
-  cf_origin : string;                    (** wsid the remote branch came from *)
-  cf_at : int;
-  cf_winner : iid option;                (** [None] until resolved *)
-}
-
-type sync_stats = {
-  sy_applied : int;    (** frames whose effects were new here *)
-  sy_skipped : int;    (** frames deduplicated as already present *)
-  sy_conflicts : int;  (** divergences registered while applying *)
-  sy_cursor : int;     (** origin seqno applied through, persisted *)
-}
-
-type response =
-  | Ok_unit
-  | Ok_int of int                        (** fresh node / instance id *)
-  | Ok_ints of int list                  (** node or instance ids *)
-  | Ok_atoms of string list              (** catalog names *)
-  | Ok_text of string                    (** rendered window / trace *)
-  | Ok_nodes of (int * string) list      (** node id, entity *)
-  | Ok_rows of instance_row list
-  | Ok_stat of stat
-  | Ok_refresh of { fresh : iid; reran : int; reused : int }
-  | Ok_snapshot of { seq : int; data : string }
-      (** replication seed: a full workspace save as of [seq] (the
-          monolithic, v6-and-below form) *)
-  | Ok_snapshot_begin of { seq : int; bytes : int }
-      (** v7: a streamed snapshot follows — [bytes] of workspace save
-          taken at [seq], chunked in {!snapshot_chunk_bytes} pieces *)
-  | Ok_snapshot_chunk of { data : string }
-  | Ok_snapshot_end of { digest : string }
-      (** v7: end of stream; [digest] is md5 hex over the whole
-          reassembled snapshot *)
-  | Ok_frame of { seq : int; payload : string; digest : string }
-      (** one journal entry; [digest] is the md5 hex of [payload], the
-          same checksum the on-disk frame carries *)
-  | Ok_lags of { primary_seq : int; rows : lag_row list }
-  | Ok_metrics of Ddf_obs.Metrics.metric list
-      (** the server's metrics snapshot; histogram stats travel as hex
-          floats so they round-trip exactly *)
-  | Ok_digest of {
-      wsid : string;
-      base : int;
-      seq : int;
-      fingerprint : string;
-          (** canonical identity-independent state digest: two peers
-              whose fingerprints agree hold the same design state even
-              though their iids may differ *)
-      cursors : (string * int) list;     (** origin wsid → applied seqno *)
-      entries : (int * string) list;     (** seqno → frame md5, ascending *)
-    }
-  | Ok_frames of (int * string * string) list
-      (** [(seqno, md5, payload)] — answers [Sync_frames] *)
-  | Ok_sync of sync_stats                (** answers [Sync_ack] *)
-  | Ok_conflicts of conflict_row list
-  | Ok_batch of response list            (** positional answers to [Batch] *)
-  | Error of Ddf_core.Error.t
-      (** on the wire:
-          [(error <code> <msg> <retryable|final> [(retry-after s)]
-          [(ctx (k v) ...)])].  [retryable] is the server's assertion
-          that the request was {e not executed}, so resending cannot
-          double-apply; [retry-after] is its backoff hint in seconds.
-          A bare [(error <msg>)] from a v3 peer decodes as a final
-          [`Internal] error. *)
-
-val request_to_sexp : request -> Ddf_persist.Sexp.t
-val request_of_sexp : Ddf_persist.Sexp.t -> request
-(** @raise Wire_error on malformed input. *)
-
-val response_to_sexp : response -> Ddf_persist.Sexp.t
-val response_of_sexp : Ddf_persist.Sexp.t -> response
+include module type of struct
+  include Messages
+end
 
 val request_name : request -> string
-(** Stable short name for tracing and metrics ("run", "browse", ...). *)
+(** Stable short name for tracing and metrics ("run", "browse", ...) —
+    the message's text name. *)
+
+val response_name : response -> string
+(** Likewise ("ok-int", "error", ...). *)
 
 val is_mutation : request -> bool
 (** Must the request go through the single-writer engine loop?
     Session-window operations (expand/select/...) mutate only the
     per-connection session and count as reads of the shared store. *)
 
-(** {1 The v8 binary codec} *)
+(** {1 Whole-message codecs} *)
 
 val request_to_binary_string : request -> string
 val request_of_binary_string : string -> request
 val response_to_binary_string : response -> string
 val response_of_binary_string : string -> response
-(** The binary codec as plain strings (frame body only, no header) —
-    the property-test and bench surface; the socket paths below keep
-    the gathered iovec form.  Decoders
+(** Frame bodies (no header) as plain strings — the property-test and
+    bench surface; the socket paths below keep the gathered iovec
+    form.  Decoders
     @raise Wire_error on malformed input, including trailing bytes. *)
 
-(** {1 Framed socket I/O} *)
+val request_to_text : request -> string
+val request_of_text : string -> request
+val response_to_text : response -> string
+val response_of_text : string -> response
+(** The one-line s-expression form, e.g. [ping], [(run 3)],
+    [(browse (filter (entities (netlist))))].  Named fields
+    ([(label l)], [(filter ...)] members, [(retry-after s)]) are left
+    out when absent; an option prints as [()] or [(v)].  Parsers
+    @raise Wire_error on malformed input. *)
 
-val send :
-  ?deadline_ms:int -> ?trace:Ddf_obs.Obs.span_ctx ->
-  Unix.file_descr -> Ddf_persist.Sexp.t -> unit
-(** Write one sexp-framed message; [deadline_ms] puts the sender's
-    remaining budget in the header, [trace] its span context (so the
-    receiver can parent its spans into the sender's trace).
-    @raise Wire_error on a closed peer. *)
+(** {1 Framed socket I/O}
 
-val recv : Unix.file_descr -> Ddf_persist.Sexp.t option
-(** Read one framed message; [None] on clean end-of-stream.
-    @raise Wire_error on framing violations (a binary frame included). *)
-
-type frame_meta = {
-  fm_deadline_ms : int option;   (** peer's remaining budget, ms *)
-  fm_trace : Ddf_obs.Obs.span_ctx option;  (** peer's span context *)
-}
-
-val recv_meta :
-  Unix.file_descr -> (Ddf_persist.Sexp.t * frame_meta) option
-(** Like {!recv} but also yields the optional header tokens. *)
-
-val recv_deadline : Unix.file_descr -> (Ddf_persist.Sexp.t * int option) option
-(** {!recv_meta} restricted to the deadline budget. *)
-
-(** {1 Typed codec-aware I/O}
-
-    What every production path speaks.  Senders encode in the given
-    codec; receivers sniff the codec per frame, so a connection can
-    switch from sexp to binary the moment a v8 hello is accepted.
-    Each call observes the [wire.<codec>.encode_seconds] /
-    [wire.<codec>.decode_seconds] histograms and the
-    [wire.<codec>.bytes_out] / [wire.<codec>.bytes_in] counters. *)
+    Each call observes the [wire.binary.encode_seconds] /
+    [wire.binary.decode_seconds] histograms and the
+    [wire.binary.bytes_out] / [wire.binary.bytes_in] counters. *)
 
 val send_request :
   ?deadline_ms:int -> ?trace:Ddf_obs.Obs.span_ctx ->
-  codec -> Unix.file_descr -> request -> unit
+  Unix.file_descr -> request -> unit
+(** Write one frame.  [deadline_ms] puts the sender's remaining budget
+    in the header (saturating at 2{^32}-1 ms), [trace] its span
+    context.  @raise Wire_error on a closed peer. *)
 
 val send_response :
   ?deadline_ms:int -> ?trace:Ddf_obs.Obs.span_ctx ->
-  codec -> Unix.file_descr -> response -> unit
+  Unix.file_descr -> response -> unit
 
 val send_response_batch :
-  codec -> Unix.file_descr ->
-  (response * Ddf_obs.Obs.span_ctx option) list -> unit
+  Unix.file_descr -> (response * Ddf_obs.Obs.span_ctx option) list -> unit
 (** Flush a whole group of response frames (each with its own trace
     context) as {e one} gathered kernel write — the replication
-    outbox's group-commit fan-out.  Large binary payload bodies are
-    carried as borrowed slices, never concatenated on the OCaml
-    side. *)
+    outbox's group-commit fan-out.  Large payload bodies are carried
+    as borrowed slices, never concatenated on the OCaml side. *)
 
-val recv_request :
-  Unix.file_descr -> (request * frame_meta * codec) option
-(** Read and decode one request; the returned codec is the frame's
-    own, letting a server answer a pre-hello frame in kind.
-    [None] on clean end-of-stream.
-    @raise Wire_error on framing or decode violations. *)
+val recv_request : Unix.file_descr -> (request * frame_meta) option
+(** Read and decode one request; [None] on clean end-of-stream.
+    @raise Wire_error on framing or decode violations — including a
+    frame that does not start with the [0xd8] magic. *)
 
-val recv_response :
-  Unix.file_descr -> (response * frame_meta * codec) option
+val recv_response : Unix.file_descr -> (response * frame_meta) option
+
+val connect : ?timeout:float -> user:string -> string -> Unix.file_descr
+(** [connect ~user socket] dials the server's Unix-domain socket and
+    says [Hello] as [user] at {!protocol_version}; the returned
+    descriptor is ready for requests.  [timeout] arms [SO_RCVTIMEO]
+    (seconds) on it.
+    @raise Ddf_core.Error.Ddf_error when the server refuses the hello
+    @raise Wire_error on any transport failure. *)
+
+(** {1 Streamed snapshots} *)
+
+val send_snapshot : Unix.file_descr -> seq:int -> Unix.file_descr -> unit
+(** [send_snapshot fd ~seq sfd] streams the snapshot file open on [sfd]
+    as [Ok_snapshot_begin], then {!snapshot_chunk_bytes}-sized
+    [Ok_snapshot_chunk]s, then [Ok_snapshot_end] (md5 over the whole
+    file).  Open [sfd] with the writer excluded — it pins the snapshot
+    inode against later compaction renames.  Holds at most one chunk
+    in memory; closes [sfd]; counts [replica.snapshots_streamed].
+    @raise Wire_error (or the file's I/O errors) to abort. *)
+
+val recv_snapshot : Unix.file_descr -> bytes:int -> string -> unit
+(** After an [Ok_snapshot_begin] announcing [bytes], spool the
+    streamed snapshot's chunks into the file at the given path until
+    [Ok_snapshot_end], then verify the byte count and the md5.  Holds
+    at most one chunk in memory; removes the file on any failure.
+    @raise Wire_error on a short, corrupt or interrupted stream
+    @raise Ddf_core.Error.Ddf_error when the peer answers [Error]. *)

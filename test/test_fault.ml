@@ -263,13 +263,12 @@ let shedding =
                 try Unix.close fd with Unix.Unix_error _ -> ())
               (fun () ->
                 Unix.connect fd (Unix.ADDR_UNIX socket);
-                (* a hand-rolled peer that keeps sending sexp frames
-                   after a v8 hello: the server sniffs each frame and
-                   answers binary — recv_response sniffs right back *)
+                (* a hand-rolled peer that sets its own deadline
+                   header, zero included *)
                 let rpc ?deadline_ms req =
-                  Wire.send ?deadline_ms fd (Wire.request_to_sexp req);
+                  Wire.send_request ?deadline_ms fd req;
                   match Wire.recv_response fd with
-                  | Some (resp, _, _) -> resp
+                  | Some (resp, _) -> resp
                   | None -> Alcotest.fail "connection dropped"
                 in
                 (match
@@ -315,7 +314,7 @@ let classification =
             (fun () ->
               let fd, _ = Unix.accept srv in
               (match Wire.recv_request fd with
-              | Some _ -> Wire.send_response Wire.Sexp fd Wire.Ok_unit
+              | Some _ -> Wire.send_response fd Wire.Ok_unit
               | None -> ());
               ignore (Wire.recv_request fd);
               Unix.close fd)
@@ -383,13 +382,13 @@ let classification =
               let rec serve () =
                 match Wire.recv_request fd with
                 | None -> ()
-                | Some (req, _, _) -> (
+                | Some (req, _) -> (
                   match req with
                   | Wire.Hello _ ->
-                    Wire.send_response Wire.Sexp fd Wire.Ok_unit;
+                    Wire.send_response fd Wire.Ok_unit;
                     serve ()
                   | Wire.Stat ->
-                    Wire.send_response Wire.Binary fd
+                    Wire.send_response fd
                       (Wire.Ok_stat
                          { st_role = "primary"; st_seq = 0; st_clock = 0;
                            st_instances = 0; st_records = 0;

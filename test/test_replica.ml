@@ -1,7 +1,7 @@
 (* Journal-shipping replication: follower convergence, write
    rejection, catch-up through primary compaction, promotion after a
    primary failure, replication lag reporting, client reconnect and
-   pool failover, protocol-version negotiation. *)
+   pool failover, protocol-version refusal. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -295,23 +295,14 @@ let versioning =
         Fun.protect
           ~finally:(fun () -> Server.stop t; Server.wait t)
           (fun () ->
-            (match Client.connect ~version:1 ~socket () with
-            | c ->
-              Client.close c;
-              Alcotest.fail "expected a version refusal"
-            | exception Client.Client_error e ->
+            (match Util.hello_as ~socket 1 with
+            | Some (Wire.Error e) ->
               Alcotest.(check bool) "typed mismatch error" true
                 (Util.contains (Error.message e) "protocol version mismatch"
-                && Util.contains (Error.message e) "v1"));
+                && Util.contains (Error.message e) "v1")
+            | _ -> Alcotest.fail "expected a version refusal");
             (* current version still welcome on the same daemon *)
             Client.with_client ~socket Client.ping));
-    Alcotest.test_case "a bare hello decodes as protocol version 1" `Quick
-      (fun () ->
-        match Wire.request_of_sexp (Sexp.of_string "(hello jbb)") with
-        | Wire.Hello { user; version } ->
-          Alcotest.(check string) "user" "jbb" user;
-          Alcotest.(check int) "legacy version" 1 version
-        | _ -> Alcotest.fail "expected Hello");
   ]
 
 let suite =

@@ -1,7 +1,7 @@
 (* Anti-entropy sync between disconnected workspaces: fingerprints,
    common-prefix location, bidirectional convergence, conflict
-   surfacing and resolution, crash-resumable pulls, the wire v6 verbs
-   and the hello compatibility matrix. *)
+   surfacing and resolution, crash-resumable pulls, the sync verbs on
+   the wire and the hello version check. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -367,11 +367,18 @@ let resume =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The wire: v6 codecs, the hello matrix, socket-to-socket sync        *)
+(* The wire: sync-verb codecs, the hello check, socket-to-socket sync  *)
 (* ------------------------------------------------------------------ *)
 
-let rt_request r = Wire.request_of_sexp (Sexp.of_string (Sexp.to_string (Wire.request_to_sexp r)))
-let rt_response r = Wire.response_of_sexp (Sexp.of_string (Sexp.to_string (Wire.response_to_sexp r)))
+(* Through both derived forms: text then binary. *)
+let rt_request r =
+  Wire.request_of_binary_string
+    (Wire.request_to_binary_string (Wire.request_of_text (Wire.request_to_text r)))
+
+let rt_response r =
+  Wire.response_of_binary_string
+    (Wire.response_to_binary_string
+       (Wire.response_of_text (Wire.response_to_text r)))
 
 let wire_codecs =
   [
@@ -419,23 +426,19 @@ let with_server ?dir f =
 
 let hello_matrix =
   [
-    Alcotest.test_case "hello: v4..v8 clients are accepted, outliers refused"
-      `Quick (fun () ->
+    Alcotest.test_case "hello: only v8 is accepted" `Quick (fun () ->
         with_server @@ fun ~dir:_ ~socket ->
+        Alcotest.(check bool) "v8 welcome" true
+          (Util.hello_as ~socket Wire.protocol_version = Some Wire.Ok_unit);
         List.iter
           (fun v ->
-            Client.with_client ~version:v ~socket @@ fun c -> Client.ping c)
-          [ 4; 5; 6; 7; 8 ];
-        List.iter
-          (fun v ->
-            match Client.connect ~version:v ~socket () with
-            | c ->
-              Client.close c;
-              Alcotest.failf "v%d should have been refused" v
-            | exception Error.Ddf_error e ->
+            match Util.hello_as ~socket v with
+            | Some (Wire.Error e) ->
               Alcotest.(check bool) "typed final refusal" true
-                (e.Error.code = `Invalid && not e.Error.retryable))
-          [ 3; Wire.protocol_version + 1 ]);
+                (e.Error.code = `Invalid && not e.Error.retryable)
+            | _ -> Alcotest.failf "v%d should have been refused" v)
+          [ 1; 3; 4; 5; 6; 7; 9 ];
+        Client.with_client ~socket Client.ping);
   ]
 
 let sockets =

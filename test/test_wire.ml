@@ -1,11 +1,10 @@
-(* Wire protocol v8: the length-prefixed binary codec.  A qcheck
-   codec-equivalence oracle over generated requests and responses
-   (binary and sexp must both round-trip every constructor to the same
-   value), header-token round-trips over real sockets in both codecs,
-   gathered batch writes, large-payload framing, per-frame codec
-   sniffing, the version interop matrix (binary and sexp clients
-   against one server, a mixed-codec replication pair, a sexp-feed
-   sync round), and redial renegotiation after torn sends. *)
+(* The wire protocol: one binary framing, two codecs derived from one
+   message description.  A golden fixture pins every tag's bytes, a
+   qcheck round trip covers generated requests and responses in both
+   the text and the binary form, decoders reject every malformed body
+   with [Wire_error] alone, and real sockets check header fields,
+   gathered batch writes, large payloads, refusal of foreign framing
+   and versions, and redials after torn sends. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -185,8 +184,6 @@ let gen_simple_response =
         map (fun ((fresh, reran), reused) ->
             Wire.Ok_refresh { fresh; reran; reused })
           (pair (pair gen_nat gen_nat) gen_nat);
-        map (fun (seq, data) -> Wire.Ok_snapshot { seq; data })
-          (pair gen_nat gen_text);
         map (fun (seq, bytes) -> Wire.Ok_snapshot_begin { seq; bytes })
           (pair gen_nat gen_nat);
         map (fun data -> Wire.Ok_snapshot_chunk { data }) gen_text;
@@ -237,10 +234,38 @@ let gen_response =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* The codec-equivalence oracle                                        *)
+(* Round trips and rejection                                           *)
 (* ------------------------------------------------------------------ *)
 
-let sexp_reparse s = Sexp.of_string (Sexp.to_string s)
+let roundtrip ~count name gen ~print ~of_text ~to_text ~of_bin ~to_bin =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count ~name ~print gen (fun m ->
+         of_text (to_text m) = m && of_bin (to_bin m) = m))
+
+(* [decode s] must fail with [Wire_error] and nothing else. *)
+let rejects what decode s =
+  match decode s with
+  | _ -> Alcotest.failf "%s: decoded" what
+  | exception Wire.Wire_error _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+
+(* Every golden message's body, with a decoder for its kind. *)
+let golden_bodies () =
+  List.map
+    (fun (name, r) ->
+      ( name, Wire.request_to_binary_string r,
+        fun s -> ignore (Wire.request_of_binary_string s) ))
+    Wire_golden.requests
+  @ List.map
+      (fun (name, r) ->
+        ( name, Wire.response_to_binary_string r,
+          fun s -> ignore (Wire.response_of_binary_string s) ))
+      Wire_golden.responses
+
+let set_byte s i c =
+  let b = Bytes.of_string s in
+  Bytes.set b i c;
+  Bytes.to_string b
 
 let codec_props =
   [
@@ -250,34 +275,78 @@ let codec_props =
     Util.qcheck ~count:300 "responses round-trip the binary codec" gen_response
       (fun r ->
         Wire.response_of_binary_string (Wire.response_to_binary_string r) = r);
-    (* the two codecs must agree on every constructor: what binary
-       decodes to is exactly what the sexp path decodes to *)
-    Util.qcheck ~count:300 "request codecs agree (sexp oracle)" gen_request
-      (fun r ->
-        Wire.request_of_binary_string (Wire.request_to_binary_string r)
-        = Wire.request_of_sexp (sexp_reparse (Wire.request_to_sexp r)));
-    Util.qcheck ~count:300 "response codecs agree (sexp oracle)" gen_response
-      (fun r ->
-        Wire.response_of_binary_string (Wire.response_to_binary_string r)
-        = Wire.response_of_sexp (sexp_reparse (Wire.response_to_sexp r)));
+    roundtrip ~count:300 "request codecs agree (text and binary round-trip)"
+      gen_request ~print:Wire.request_to_text ~of_text:Wire.request_of_text
+      ~to_text:Wire.request_to_text ~of_bin:Wire.request_of_binary_string
+      ~to_bin:Wire.request_to_binary_string;
+    roundtrip ~count:300 "response codecs agree (text and binary round-trip)"
+      gen_response ~print:Wire.response_to_text ~of_text:Wire.response_of_text
+      ~to_text:Wire.response_to_text ~of_bin:Wire.response_of_binary_string
+      ~to_bin:Wire.response_to_binary_string;
     Alcotest.test_case "binary decode rejects trailing bytes" `Quick (fun () ->
-        let s = Wire.request_to_binary_string Wire.Ping ^ "\x00" in
-        match Wire.request_of_binary_string s with
-        | _ -> Alcotest.fail "expected a Wire_error"
-        | exception Wire.Wire_error m ->
-          Alcotest.(check bool) "names the trailing bytes" true
-            (Util.contains m "trailing"));
+        List.iter
+          (fun (name, body, decode) ->
+            match decode (body ^ "\x00") with
+            | _ -> Alcotest.failf "%s: expected a Wire_error" name
+            | exception Wire.Wire_error m ->
+              Alcotest.(check bool) "names the trailing bytes" true
+                (Util.contains m "trailing"))
+          (golden_bodies ()));
     Alcotest.test_case "binary decode rejects unknown tags" `Quick (fun () ->
-        match Wire.request_of_binary_string "\xff" with
-        | _ -> Alcotest.fail "expected a Wire_error"
-        | exception Wire.Wire_error _ -> ());
+        let tag_of body = Char.code body.[0] in
+        let check known decode =
+          for tag = 0 to 255 do
+            if not (List.mem tag known) then
+              rejects (Printf.sprintf "tag %d" tag) decode (String.make 1 (Char.chr tag))
+          done
+        in
+        check
+          (List.map (fun (_, r) -> tag_of (Wire.request_to_binary_string r)) Wire_golden.requests)
+          Wire.request_of_binary_string;
+        (* the retired monolithic-snapshot tag 10 is among the unknown *)
+        check
+          (List.map (fun (_, r) -> tag_of (Wire.response_to_binary_string r)) Wire_golden.responses)
+          Wire.response_of_binary_string);
     Alcotest.test_case "binary decode rejects truncated bodies" `Quick
       (fun () ->
-        let whole = Wire.request_to_binary_string (Wire.Start_goal "perf") in
-        let torn = String.sub whole 0 (String.length whole - 2) in
-        match Wire.request_of_binary_string torn with
-        | _ -> Alcotest.fail "expected a Wire_error"
-        | exception Wire.Wire_error _ -> ());
+        (* every proper prefix of every tag's body *)
+        List.iter
+          (fun (name, body, decode) ->
+            for n = 0 to String.length body - 1 do
+              rejects (Printf.sprintf "%s cut at %d" name n) decode (String.sub body 0 n)
+            done)
+          (golden_bodies ()));
+    Alcotest.test_case "binary decode rejects bad option and bool bytes" `Quick
+      (fun () ->
+        (* annotate: tag, iid, then the label's option byte *)
+        let annotate =
+          Wire.request_to_binary_string
+            (Wire.Annotate { iid = 1; label = None; comment = None; keywords = None })
+        in
+        rejects "option byte 2" Wire.request_of_binary_string (set_byte annotate 9 '\x02');
+        (* error: tag, code, message, then the retryable byte *)
+        let e = Error.make ~retryable:false `Invalid "m" in
+        let err = Wire.response_to_binary_string (Wire.Error e) in
+        let at = 1 + 4 + String.length (Error.code_to_string `Invalid) + 4 + 1 in
+        Alcotest.(check char) "the bool byte" '\x00' err.[at];
+        rejects "bool byte 2" Wire.response_of_binary_string (set_byte err at '\x02');
+        rejects "bool byte 255" Wire.response_of_binary_string (set_byte err at '\xff'));
+    Alcotest.test_case "the writer verbs are exactly the mutations" `Quick
+      (fun () ->
+        Alcotest.(check (list string)) "mutating requests"
+          [ "install"; "annotate"; "run"; "recall"; "refresh"; "compact";
+            "sync-digest"; "sync-frames"; "sync-ack"; "resolve" ]
+          (List.filter_map
+             (fun (name, r) -> if Wire.is_mutation r then Some name else None)
+             Wire_golden.requests
+          |> List.filter (( <> ) "batch"));
+        Alcotest.(check bool) "a batch mutates iff a member does" true
+          (Wire.is_mutation (Wire.Batch [ Wire.Ping; Wire.Run 1 ])
+          && not (Wire.is_mutation (Wire.Batch [ Wire.Ping; Wire.Stat ]))));
+    Alcotest.test_case "the README and CI batch lines parse" `Quick (fun () ->
+        Alcotest.(check bool) "ping, stat, (browse (filter))" true
+          (List.map Wire.request_of_text [ "ping"; "stat"; "(browse (filter))" ]
+          = [ Wire.Ping; Wire.Stat; Wire.Browse Store.any_filter ]));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -298,15 +367,14 @@ let send_threaded f =
   let t = Thread.create f () in
   Fun.protect ~finally:(fun () -> Thread.join t)
 
-let header_roundtrip codec () =
+let header_roundtrip () =
   with_sockpair @@ fun a b ->
   let span = Obs.new_root () in
-  Wire.send_request ~deadline_ms:1234 ~trace:span codec a (Wire.Run 7);
+  Wire.send_request ~deadline_ms:1234 ~trace:span a (Wire.Run 7);
   match Wire.recv_request b with
   | None -> Alcotest.fail "expected a frame"
-  | Some (req, meta, seen) ->
+  | Some (req, meta) ->
     Alcotest.(check bool) "request" true (req = Wire.Run 7);
-    Alcotest.(check bool) "codec sniffed" true (seen = codec);
     Alcotest.(check (option int)) "deadline" (Some 1234) meta.Wire.fm_deadline_ms;
     (match meta.Wire.fm_trace with
     | None -> Alcotest.fail "expected a trace token"
@@ -314,29 +382,91 @@ let header_roundtrip codec () =
       Alcotest.(check string) "trace id" span.Obs.trace_id ctx.Obs.trace_id;
       Alcotest.(check int) "span id" span.Obs.span_id ctx.Obs.span_id)
 
+(* Everything one send put on the socket. *)
+let sent_bytes send =
+  with_sockpair @@ fun a b ->
+  send a;
+  Unix.shutdown a Unix.SHUTDOWN_SEND;
+  let buf = Buffer.create 256 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read b chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      go ()
+  in
+  go ()
+
+let hex s = String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+let unhex h = String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* Each golden message with its two framings: (label, send, recv check). *)
+let golden_frames () =
+  let frames kind i name send check =
+    let deadline_ms, trace = Wire_golden.header i in
+    let label = kind ^ " " ^ name in
+    let plain, headed =
+      match List.assoc_opt label (List.map (fun (l, p, h) -> (l, (p, h))) Wire_golden.expected) with
+      | Some ph -> ph
+      | None -> Alcotest.failf "no golden bytes for %s" label
+    in
+    [ (label, plain, (fun fd -> send ?deadline_ms:None ?trace:None fd), check None None);
+      (label ^ " (header)", headed, (fun fd -> send ?deadline_ms ?trace fd), check deadline_ms trace) ]
+  in
+  let meta_is deadline trace (meta : Wire.frame_meta) =
+    meta.fm_deadline_ms = deadline
+    && Option.map (fun c -> (c.Obs.trace_id, c.Obs.span_id)) meta.fm_trace
+       = Option.map (fun c -> (c.Obs.trace_id, c.Obs.span_id)) trace
+  in
+  List.concat
+    (List.mapi
+       (fun i (name, r) ->
+         frames "request" i name
+           (fun ?deadline_ms ?trace fd -> Wire.send_request ?deadline_ms ?trace fd r)
+           (fun d t fd ->
+             match Wire.recv_request fd with
+             | Some (r', meta) -> r' = r && meta_is d t meta
+             | None -> false))
+       Wire_golden.requests)
+  @ List.concat
+      (List.mapi
+         (fun i (name, r) ->
+           frames "response" i name
+             (fun ?deadline_ms ?trace fd -> Wire.send_response ?deadline_ms ?trace fd r)
+             (fun d t fd ->
+               match Wire.recv_response fd with
+               | Some (r', meta) -> r' = r && meta_is d t meta
+               | None -> false))
+         Wire_golden.responses)
+
+let golden =
+  [
+    Alcotest.test_case "golden frames: every tag encodes byte-identically"
+      `Quick (fun () ->
+        let tags l to_bin = List.sort_uniq compare (List.map (fun (_, m) -> Char.code (to_bin m).[0]) l) in
+        Alcotest.(check (list int)) "every request tag" (List.init 35 succ)
+          (tags Wire_golden.requests Wire.request_to_binary_string);
+        Alcotest.(check (list int)) "every live response tag"
+          (List.filter (( <> ) 10) (List.init 22 succ))
+          (tags Wire_golden.responses Wire.response_to_binary_string);
+        List.iter
+          (fun (label, want, send, _) ->
+            Alcotest.(check string) label want (hex (sent_bytes send)))
+          (golden_frames ()));
+    Alcotest.test_case "golden frames decode back to equal values" `Quick
+      (fun () ->
+        List.iter
+          (fun (label, bytes, _, check) ->
+            with_sockpair @@ fun a b ->
+            let raw = unhex bytes in
+            ignore (Unix.write_substring a raw 0 (String.length raw));
+            Alcotest.(check bool) label true (check b))
+          (golden_frames ()));
+  ]
+
 let framing =
   [
-    Alcotest.test_case "header tokens round-trip (binary)" `Quick
-      (header_roundtrip Wire.Binary);
-    Alcotest.test_case "header tokens round-trip (sexp)" `Quick
-      (header_roundtrip Wire.Sexp);
-    Alcotest.test_case "receivers sniff the codec per frame" `Quick (fun () ->
-        with_sockpair @@ fun a b ->
-        (* the v8 handshake moment: a sexp hello, then binary frames on
-           the same stream — no receiver-side mode switch *)
-        Wire.send_request Wire.Sexp a
-          (Wire.Hello { user = "u"; version = Wire.protocol_version });
-        Wire.send_request Wire.Binary a Wire.Stat;
-        Wire.send_request Wire.Sexp a Wire.Ping;
-        (match Wire.recv_request b with
-        | Some (Wire.Hello _, _, Wire.Sexp) -> ()
-        | _ -> Alcotest.fail "expected a sexp hello");
-        (match Wire.recv_request b with
-        | Some (Wire.Stat, _, Wire.Binary) -> ()
-        | _ -> Alcotest.fail "expected a binary stat");
-        match Wire.recv_request b with
-        | Some (Wire.Ping, _, Wire.Sexp) -> ()
-        | _ -> Alcotest.fail "expected a sexp ping");
+    Alcotest.test_case "header tokens round-trip (binary)" `Quick header_roundtrip;
     Alcotest.test_case "large payload bodies survive binary framing" `Quick
       (fun () ->
         with_sockpair @@ fun a b ->
@@ -345,15 +475,15 @@ let framing =
         let data = String.init 3_000_000 (fun i -> Char.chr (i land 0xff)) in
         send_threaded
           (fun () ->
-            Wire.send_response Wire.Binary a
+            Wire.send_response a
               (Wire.Ok_frame { seq = 42; payload = data; digest = "d" }))
           (fun () ->
             match Wire.recv_response b with
-            | Some (Wire.Ok_frame { seq; payload; digest }, _, Wire.Binary) ->
+            | Some (Wire.Ok_frame { seq; payload; digest }, _) ->
               Alcotest.(check int) "seq" 42 seq;
               Alcotest.(check string) "digest" "d" digest;
               Alcotest.(check bool) "payload intact" true (payload = data)
-            | _ -> Alcotest.fail "expected a binary frame"));
+            | _ -> Alcotest.fail "expected a frame"));
     Alcotest.test_case "a batch flush delivers every frame in order" `Quick
       (fun () ->
         with_sockpair @@ fun a b ->
@@ -364,12 +494,12 @@ let framing =
                 if i mod 2 = 0 then Some (Obs.new_root ()) else None ))
         in
         send_threaded
-          (fun () -> Wire.send_response_batch Wire.Binary a items)
+          (fun () -> Wire.send_response_batch a items)
           (fun () ->
             List.iteri
               (fun i (want, trace) ->
                 match Wire.recv_response b with
-                | Some (got, meta, Wire.Binary) ->
+                | Some (got, meta) ->
                   Alcotest.(check bool)
                     (Printf.sprintf "frame %d" i)
                     true (got = want);
@@ -377,28 +507,67 @@ let framing =
                     (Printf.sprintf "trace %d" i)
                     true
                     (Option.is_some meta.Wire.fm_trace = Option.is_some trace)
-                | _ -> Alcotest.fail "expected a binary frame")
+                | None -> Alcotest.fail "expected a frame")
               items));
-    Alcotest.test_case "a binary frame on a legacy sexp reader is refused"
+    Alcotest.test_case "a deadline past 2^32 ms saturates instead of wrapping"
       `Quick (fun () ->
-        with_sockpair @@ fun a b ->
-        Wire.send_request Wire.Binary a Wire.Ping;
-        match Wire.recv b with
-        | _ -> Alcotest.fail "expected a Wire_error"
-        | exception Wire.Wire_error m ->
-          Alcotest.(check bool) "names the binary frame" true
-            (Util.contains m "binary"));
+        (* on a raw socket ... *)
+        (with_sockpair @@ fun a b ->
+         Wire.send_request ~deadline_ms:(1 lsl 40) a Wire.Ping;
+         match Wire.recv_request b with
+         | Some (_, meta) ->
+           Alcotest.(check (option int)) "saturated" (Some 0xFFFFFFFF)
+             meta.Wire.fm_deadline_ms
+         | None -> Alcotest.fail "expected a frame");
+        (* ... and from a client whose budget is 4294968 s *)
+        Test_journal.with_dir @@ fun dir ->
+        Unix.mkdir dir 0o755;
+        let socket = Filename.concat dir "fake.sock" in
+        let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.bind srv (Unix.ADDR_UNIX socket);
+        Unix.listen srv 1;
+        let seen = ref None in
+        let fake =
+          Thread.create
+            (fun () ->
+              let fd, _ = Unix.accept srv in
+              let rec serve () =
+                match Wire.recv_request fd with
+                | Some (Wire.Hello _, _) ->
+                  Wire.send_response fd Wire.Ok_unit;
+                  serve ()
+                | Some (_, meta) ->
+                  seen := meta.Wire.fm_deadline_ms;
+                  Wire.send_response fd Wire.Ok_unit
+                | None -> ()
+              in
+              serve ();
+              Unix.close fd)
+            ()
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Thread.join fake;
+            Unix.close srv)
+          (fun () ->
+            Client.with_client ~deadline:4294968. ~socket Client.ping;
+            match !seen with
+            | Some ms ->
+              Alcotest.(check bool)
+                (Printf.sprintf "budget of %d ms arrived" ms)
+                true (ms >= 0xFFFFFFFF)
+            | None -> Alcotest.fail "the request carried no deadline"));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The version interop matrix                                          *)
+(* Against a server: metering, refusals of foreign framing and versions *)
 (* ------------------------------------------------------------------ *)
-
-let only entity =
-  { Test_server.no_filter with Store.f_entities = Some [ entity ] }
 
 let stim_sexp =
   Codec.value_to_sexp (Value.Stimuli (Eda.Stimuli.exhaustive [ "a" ]))
+
+let only entity =
+  { Test_server.no_filter with Store.f_entities = Some [ entity ] }
 
 let counter_of name metrics =
   List.fold_left
@@ -408,105 +577,64 @@ let counter_of name metrics =
       | _ -> acc)
     0 metrics
 
-let interop =
+let refusals =
   [
-    Alcotest.test_case "binary and sexp clients share one server" `Quick
-      (fun () ->
+    Alcotest.test_case "a server meters wire bytes both ways" `Quick (fun () ->
         Test_server.with_server @@ fun _t ~dir:_ ~socket ->
-        Client.with_client ~user:"v8" ~socket @@ fun c8 ->
-        Client.with_client ~user:"v7" ~version:7 ~socket @@ fun c7 ->
-        let iid =
-          Client.install c8 ~entity:E.stimuli ~label:"from-v8" stim_sexp
-        in
-        (* the downlevel sexp peer sees the binary peer's write *)
-        let rows = Client.browse c7 (only E.stimuli) in
-        Alcotest.(check bool) "sexp client reads it" true
-          (List.exists (fun r -> r.Wire.row_iid = iid) rows);
-        ignore (Client.install c7 ~entity:E.stimuli ~label:"from-v7" stim_sexp);
-        Alcotest.(check int) "binary client reads both" 2
-          (List.length (Client.browse c8 (only E.stimuli)));
-        (* both codecs moved real bytes, and the server metered them *)
-        let ms = Client.metrics c8 in
-        Alcotest.(check bool) "binary bytes metered" true
+        Client.with_client ~socket @@ fun c ->
+        ignore (Client.install c ~entity:E.stimuli ~label:"metered" stim_sexp);
+        let ms = Client.metrics c in
+        Alcotest.(check bool) "bytes in and out" true
           (counter_of "wire.binary.bytes_in" ms > 0
           && counter_of "wire.binary.bytes_out" ms > 0);
-        Alcotest.(check bool) "sexp bytes metered" true
-          (counter_of "wire.sexp.bytes_in" ms > 0
-          && counter_of "wire.sexp.bytes_out" ms > 0));
-    Alcotest.test_case "a sexp-feed follower of a binary-era primary converges"
+        Alcotest.(check int) "one codec, one metric family" 0
+          (List.length
+             (List.filter
+                (fun m -> Util.contains (Metrics.metric_name m) "wire.sexp")
+                ms)));
+    Alcotest.test_case "a ddf1-framed hello is refused; others stay served"
       `Quick (fun () ->
-        Test_journal.with_dir @@ fun root ->
-        Unix.mkdir root 0o755;
-        let pdir = Filename.concat root "p"
-        and fdir = Filename.concat root "f" in
-        let psock = Filename.concat root "p.sock"
-        and fsock = Filename.concat root "f.sock" in
-        let p =
-          Server.start ~seed:Test_server.seed ~db:pdir ~socket:psock
-            Standard_schemas.odyssey
-        in
-        (* the --wire sexp lever: the replication feed hellos with v7,
-           so the whole stream rides the legacy codec *)
-        let fl =
-          Server.start ~follow:psock ~feed_version:7 ~db:fdir ~socket:fsock
-            Standard_schemas.odyssey
-        in
+        Test_server.with_server @@ fun _t ~dir:_ ~socket ->
+        Client.with_client ~user:"bystander" ~socket @@ fun c ->
+        Client.ping c;
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Fun.protect
-          ~finally:(fun () ->
-            (try Server.stop fl; Server.wait fl with _ -> ());
-            (try Server.stop p; Server.wait p with _ -> ()))
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
           (fun () ->
-            Client.with_client ~user:"w" ~socket:psock @@ fun cp ->
-            Client.with_client ~user:"r" ~socket:fsock @@ fun cf ->
-            ignore
-              (Test_server.perf_run cp (Eda.Circuits.c17 ()) "mixed-pair");
-            Test_replica.wait_until ~what:"sexp-feed catch-up"
-              (Test_replica.caught_up cp cf);
-            let _, _, _, fpp, _, _ = Client.sync_digest cp in
-            let _, _, _, fpf, _, _ = Client.sync_digest cf in
-            Alcotest.(check string)
-              "fingerprints agree across the codec boundary" fpp fpf));
-    Alcotest.test_case "a sexp sync round against a binary-era server" `Quick
-      (fun () ->
-        Test_journal.with_dir @@ fun root ->
-        Unix.mkdir root 0o755;
-        let adir = Filename.concat root "a"
-        and bdir = Filename.concat root "b" in
-        let asock = Filename.concat root "a.sock"
-        and bsock = Filename.concat root "b.sock" in
-        let a =
-          Server.start ~seed:Test_server.seed ~db:adir ~socket:asock
-            Standard_schemas.odyssey
-        in
-        let b =
-          Server.start ~db:bdir ~socket:bsock Standard_schemas.odyssey
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            (try Server.stop a; Server.wait a with _ -> ());
-            (try Server.stop b; Server.wait b with _ -> ()))
-          (fun () ->
-            Client.with_client ~user:"wa" ~socket:asock @@ fun ca ->
-            ignore
-              (Client.install ca ~entity:E.stimuli ~label:"sync-me" stim_sexp);
-            (* the pulling side speaks v7: every sync verb crosses the
-               codec boundary *)
-            Client.with_client ~user:"sync" ~version:7 ~socket:asock
-            @@ fun pull ->
-            Client.with_client ~user:"sync" ~version:7 ~socket:bsock
-            @@ fun push ->
-            let wsid_a, _, seq_a, fpa, _, _ = Client.sync_digest pull in
-            let frames = Client.sync_frames pull ~after:0 ~limit:10_000 in
-            Alcotest.(check int) "pulled the whole wal" seq_a
-              (List.length frames);
-            let stats = Client.sync_push push ~origin:wsid_a ~upto:seq_a frames in
-            Alcotest.(check int) "cursor advanced" seq_a stats.Wire.sy_cursor;
-            let _, _, _, fpb, _, _ = Client.sync_digest push in
-            Alcotest.(check string) "fingerprints converge" fpa fpb));
+            Unix.connect fd (Unix.ADDR_UNIX socket);
+            let payload = "(hello legacy (version 7))" in
+            let frame =
+              Printf.sprintf "ddf1 %d\n%s\n" (String.length payload) payload
+            in
+            ignore (Unix.write_substring fd frame 0 (String.length frame));
+            (match Wire.recv_response fd with
+            | Some (Wire.Error e, _) ->
+              Alcotest.(check bool) "typed refusal" true (e.Error.code = `Invalid)
+            | _ -> Alcotest.fail "expected a typed refusal");
+            Alcotest.(check bool) "then the connection is dropped" true
+              (Wire.recv_response fd = None));
+        Client.ping c;
+        Client.with_client ~socket Client.ping);
+    Alcotest.test_case "a binary hello saying v7 or v9 is refused; others stay served"
+      `Quick (fun () ->
+        Test_server.with_server @@ fun _t ~dir:_ ~socket ->
+        Client.with_client ~user:"bystander" ~socket @@ fun c ->
+        List.iter
+          (fun v ->
+            (match Util.hello_as ~socket v with
+            | Some (Wire.Error e) ->
+              Alcotest.(check bool) (Printf.sprintf "v%d refused, final" v) true
+                (e.Error.code = `Invalid && not e.Error.retryable)
+            | _ -> Alcotest.failf "v%d was not refused" v);
+            ignore (Client.install c ~entity:E.stimuli ~label:(Printf.sprintf "after-v%d" v) stim_sexp))
+          [ 7; 9 ];
+        Alcotest.(check int) "the bystander kept writing" 2
+          (List.length (Client.browse c (only E.stimuli)));
+        Client.with_client ~socket Client.ping);
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Torn sends and renegotiation                                        *)
+(* Torn sends and redials                                             *)
 (* ------------------------------------------------------------------ *)
 
 let faults =
@@ -526,16 +654,15 @@ let faults =
             Server.wait t)
           (fun () ->
             Client.with_client ~retries:2 ~socket @@ fun c ->
-            Client.ping c (* negotiate binary before arming the fault *);
-            (* the next binary frame dies 7 bytes in.  The client must
-               drop, redial, redo the hello from sexp, land back on
-               binary and retry — transparently *)
+            Client.ping c (* dial and hello before arming the fault *);
+            (* the next frame dies 7 bytes in.  The client must drop,
+               redial, redo the hello and retry — transparently *)
             Fault.arm ~times:1 "wire.send" (Fault.Torn 7);
             let stat = Client.stat c in
             Alcotest.(check string) "retried to an answer" "primary"
               stat.Wire.st_role;
             Alcotest.(check int) "the fault fired" 1 (Fault.fired "wire.send");
-            (* the renegotiated connection keeps working *)
+            (* the redialed connection keeps working *)
             ignore
               (Client.install c ~entity:E.stimuli ~label:"post-tear" stim_sexp);
             Alcotest.(check int) "applied exactly once" 1
@@ -564,16 +691,17 @@ let faults =
               Alcotest.fail "expected the torn hello to surface"
             | exception Fault.Injected _ -> ());
             Alcotest.(check int) "the fault fired" 1 (Fault.fired "wire.send");
-            (* a fresh dial renegotiates from scratch *)
+            (* a fresh dial starts from scratch *)
             Client.with_client ~socket @@ fun c ->
-            Alcotest.(check string) "fresh hello lands on binary" "primary"
+            Alcotest.(check string) "a fresh hello is served" "primary"
               (Client.stat c).Wire.st_role));
   ]
 
 let suite =
   [
     ("wire-v8 codec", codec_props);
+    ("wire-v8 golden", golden);
     ("wire-v8 framing", framing);
-    ("wire-v8 interop", interop);
+    ("wire-v8 refusals", refusals);
     ("wire-v8 faults", faults);
   ]

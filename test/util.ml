@@ -31,3 +31,23 @@ let replace_first hay needle replacement =
   | Some i ->
     String.sub hay 0 i ^ replacement
     ^ String.sub hay (i + n) (h - i - n)
+
+(* Dial [socket] and announce protocol [version] in a hello frame;
+   the server's answer, or [None] when it hung up instead. *)
+let hello_as ~socket version =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      Ddf.Wire.send_request fd (Ddf.Wire.Hello { user = "raw"; version });
+      Option.map fst (Ddf.Wire.recv_response fd))
+
+let copy_file src dst =
+  let ic = open_in_bin src in
+  let data =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        really_input_string ic (in_channel_length ic))
+  in
+  let oc = open_out_bin dst in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
