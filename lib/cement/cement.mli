@@ -1,9 +1,9 @@
 (** Tiered cold storage for cemented journal history.
 
     The journal's entries are immutable once written: frames below the
-    compaction watermark ([base.ddf]) describe puts, annotations and
-    flow records that can never change again.  Before this subsystem
-    they were folded into the snapshot and {e discarded} — restart
+    compaction watermark (the seqno the snapshot holds) describe puts,
+    annotations and flow records that can never change again.  Before
+    this subsystem they were folded into the snapshot and {e discarded} — restart
     replay, anti-entropy catch-up and cold version/trace queries below
     the watermark were impossible without a full resync.
 
@@ -62,8 +62,7 @@ val fold : t -> first:int -> (int * string) list -> unit
 (** [fold t ~first frames] cements [frames] (ascending, contiguous
     [(seqno, payload)] starting at [first]) as one new segment.
     Frames with seqno <= {!last_seq} are skipped — refolding after a
-    crash between the cement fold and the watermark write is
-    idempotent — and the remainder must start at [last_seq t + 1].
+    compaction that failed past its fold is idempotent — and the remainder must start at [last_seq t + 1].
     A no-op on an empty list.  Durable on return (file and directory
     fsync).  Observes [cement.fold_seconds] and bumps
     [cement.segments]/[cement.bytes].

@@ -14,11 +14,23 @@
     - ["journal.torn_write"] a wal frame append ([Torn n] → only the
                              first [n] bytes reach the file, then the
                              append raises — a crash mid-write)
-    - ["journal.dir_fsync"]  the directory fsync pinning compaction and
-                             resync renames ([Fail] → dies exactly
-                             between the base write and the wal
-                             truncation — the crash window open-time
-                             repair recovers from)
+    - ["journal.dir_fsync"]  the directory fsync pinning a segment
+                             rotation, a snapshot install or a resync
+                             (the rotation's is the first hit of a
+                             compaction, the install's the second)
+    - ["journal.rotate"]     before a compaction closes [wal.ddf] and
+                             opens a fresh segment ([Fail] fail-stops
+                             the journal)
+    - ["journal.snapshot_write"] the background snapshot write, with
+                             its tmp file open and empty ([Delay s]
+                             holds the second domain while the writer
+                             keeps committing; [Fail] fails the
+                             compaction)
+    - ["journal.snapshot_rename"] between the fsynced tmp snapshot and
+                             its rename into place
+    - ["journal.segment_delete"] before each closed segment that a
+                             durable snapshot covers is deleted (and
+                             before each segment a resync drops)
     - ["wire.send"]          any framed socket send ([Torn n] → the
                              peer sees [n] bytes then a dead
                              connection)

@@ -2,11 +2,19 @@
 
    Layout of a database directory:
 
-     snapshot.ddf   full workspace (Workspace_file format), optional
-     wal.ddf        framed log entries appended since the snapshot
-     base.ddf       sequence number folded into the snapshot
+     snapshot.ddf   full workspace (Workspace_file format) with a
+                    (seq N) header: it holds entries 1..N; optional
+     wal.ddf        the live log segment
+     wal.F.ddf      closed log segments, each first entry F, kept
+                    until a durable snapshot covers them
+     cemented/      the cold store of compacted entries (Cement)
 
-   Each log frame is
+   A segment opens with one header line naming the seqno of its first
+   frame,
+
+     S1 <first-seqno>\n
+
+   and then holds frames.  Each log frame is
 
      J1 <payload-bytes> <md5-hex>\n
      <payload>\n
@@ -28,11 +36,21 @@
    [tick] accessors.
 
    Sequence numbers.  Every entry ever journaled has a global sequence
-   number: the snapshot covers entries 1..base (persisted in base.ddf,
-   0 when absent), the wal holds base+1..seq.  Seqnos are not written
-   into the frames — the i-th wal frame is entry base+i — so the disk
-   format is unchanged; they exist so a replication stream can name
-   frames exactly ([entries_since], [apply], the frame observer). *)
+   number, and every file states which ones it holds, atomically with
+   its contents: the snapshot's header names the last entry folded
+   into it, and the i-th frame of a segment is entry first+i-1.
+   Recovery loads the snapshot at P, then applies every segment frame
+   above P in order; a missing seqno is a typed error.  Seqnos let a
+   replication stream name frames exactly ([entries_since], [apply],
+   the frame observer).
+
+   Compaction runs beside the writer.  The writer pins a view, folds
+   the frames it covers into cement and rotates the live segment; a
+   second domain writes the pinned view as the next snapshot, fsyncs
+   and renames it into place, while the writer keeps appending to the
+   fresh segment.  The writer then deletes the closed segments the new
+   snapshot covers.  A crash anywhere leaves files whose seqnos say
+   exactly which entries they hold, so no step needs repair on open. *)
 
 open Ddf_store
 open Ddf_history
@@ -55,6 +73,9 @@ let m_torn = Ddf_obs.Metrics.counter "journal.torn_tails"
 let m_syncs = Ddf_obs.Metrics.counter "journal.syncs"
 let h_batch = Ddf_obs.Metrics.histogram "journal.group_commit_batch"
 let h_compact = Ddf_obs.Metrics.histogram "journal.compact_seconds"
+let h_stall = Ddf_obs.Metrics.histogram "journal.compact_stall_us"
+let m_deferred = Ddf_obs.Metrics.counter "journal.compactions_deferred"
+let m_compact_failures = Ddf_obs.Metrics.counter "journal.compact_failures"
 
 (* When is an entry durable?
      [Always] - fsync inside every append: an entry is on disk before
@@ -80,14 +101,28 @@ let sync_mode_to_string = function
   | Group -> "group"
   | Never -> "none"
 
+(* A snapshot being written on the second domain. *)
+type running = {
+  r_seq : int;                       (* the pinned seqno it holds *)
+  r_clock : int;
+  r_done : bool Atomic.t;            (* set when [r_domain] returns *)
+  r_domain : (float, exn) result Domain.t;
+}
+
 type t = {
   j_dir : string;
   j_ctx : Ddf_exec.Engine.context;
   j_registry : Ddf_tools.Encapsulation.registry option;
   mutable j_oc : out_channel;        (* wal.ddf, append mode *)
-  mutable j_entries : int;           (* entries since the snapshot *)
-  mutable j_base : int;              (* seq folded into the snapshot *)
-  mutable j_seq : int;               (* seq of the last entry = base + entries *)
+  mutable j_live_first : int;        (* seqno of wal.ddf's first frame *)
+  mutable j_closed_segs : (int * string) list;
+      (* (first seqno, path) of closed segments, ascending; each ends
+         where the next segment (or wal.ddf) starts *)
+  mutable j_entries : int;           (* entries since the last compaction began *)
+  mutable j_base : int;              (* seq of the installed snapshot *)
+  mutable j_snap_clock : int option; (* its clock; [None] without one *)
+  mutable j_seq : int;               (* seq of the last entry *)
+  mutable j_running : running option;
   j_truncated : int;                 (* torn-tail bytes dropped on open *)
   mutable j_closed : bool;
   mutable j_failed : string option;  (* fail-stop reason, sticky until reopen *)
@@ -137,42 +172,38 @@ let check_writable j =
 
 let snapshot_path dir = Filename.concat dir "snapshot.ddf"
 let wal_path dir = Filename.concat dir "wal.ddf"
-let base_path dir = Filename.concat dir "base.ddf"
+let closed_path dir first = Filename.concat dir (Printf.sprintf "wal.%d.ddf" first)
 let cemented_dir dir = Filename.concat dir "cemented"
 
 let snapshot_file j = snapshot_path j.j_dir
 
-(* The base seqno is a tiny self-checking text file, written atomically
-   (tmp + rename) so a crash leaves either the old or the new base. *)
-let read_base dir =
-  if not (Sys.file_exists (base_path dir)) then 0
-  else
-    let ic = open_in_bin (base_path dir) in
-    let line = try input_line ic with End_of_file -> "" in
-    close_in ic;
-    match String.split_on_char ' ' (String.trim line) with
-    | [ "B1"; n ] -> (
-      match int_of_string_opt n with
-      | Some b when b >= 0 -> b
-      | Some _ | None -> journal_errorf "base.ddf: bad sequence %S" n)
-    | _ -> journal_errorf "base.ddf: malformed (%S)" line
+(* ------------------------------------------------------------------ *)
+(* Segments                                                            *)
+(* ------------------------------------------------------------------ *)
 
-let write_base dir base =
-  let tmp = base_path dir ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     Printf.fprintf oc "B1 %d\n" base;
-     flush oc;
-     (* an fsync failure here must fail the caller: renaming a base
-        that may not be on disk would report durability that didn't
-        happen *)
-     Unix.fsync (Unix.descr_of_out_channel oc);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp (base_path dir)
+(* A fresh segment whose first frame will be entry [first]. *)
+let create_segment path first =
+  let oc =
+    open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 path
+  in
+  Printf.fprintf oc "S1 %d\n" first;
+  flush oc;
+  oc
+
+(* The seqno a segment's header names, leaving [ic] at its first
+   frame.  [None] for a header cut short: a crash while the segment was
+   being created, before anything could be journaled into it. *)
+let read_segment_header path ic =
+  match input_line ic with
+  | exception End_of_file -> None
+  | line when pos_in ic <> String.length line + 1 -> None
+  | line -> (
+    match String.split_on_char ' ' line with
+    | [ "S1"; n ] -> (
+      match int_of_string_opt n with
+      | Some first when first >= 1 -> Some first
+      | Some _ | None -> journal_errorf "%s: bad first seqno %S" path n)
+    | _ -> journal_errorf "%s: no segment header (%S)" path line)
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
@@ -262,150 +293,81 @@ let resolve_to_sexp ~clock (c : History.conflict) winner =
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [lenient] makes replay idempotent: an entry whose effect is already
-   present (same instance/record/conflict with identical content) is
-   skipped instead of raising "log out of order".  Only [replay_wal]
-   passes it — a crash inside [compact] between the snapshot rename and
-   the base.ddf write leaves a NEW snapshot with the OLD base and a
-   full wal, so restart replays entries the snapshot already folded in.
-   Divergent content under a replayed id still errors: leniency covers
-   exact re-application, never conflicting history.
-
-   Returns whether the entry changed anything: [false] means its whole
-   effect was already present.  A wal whose every entry replays as
-   [false] is a leftover from an interrupted compaction — [open_] uses
-   that signal (confirmed against the cement watermark) to finish the
-   truncation instead of double-counting the frames. *)
-let replay_entry ?(lenient = false) ctx payload =
+(* Apply one entry to [ctx].  Ids must come back exactly as
+   journaled: an entry out of order means the log is corrupt. *)
+let replay_entry ctx payload =
   let sexp =
     try S.of_string payload
     with S.Sexp_error m -> journal_errorf "log entry: %s" m
   in
   let store = ctx.Ddf_exec.Engine.store in
-  match S.as_list sexp with
-  | S.Atom "put" :: fields ->
-    let iid = S.as_int (S.one "iid" (S.find_field fields "iid")) in
-    let clock = S.as_int (S.one "clock" (S.find_field fields "clock")) in
-    let entity = S.as_atom (S.one "entity" (S.find_field fields "entity")) in
-    let stored_hash = S.as_atom (S.one "hash" (S.find_field fields "hash")) in
-    let meta = W.meta_of_sexp (S.one "meta" (S.find_field fields "meta")) in
-    let value =
-      try Codec.value_of_sexp (S.one "value" (S.find_field fields "value"))
-      with Codec.Codec_error m -> journal_errorf "entry for #%d: %s" iid m
-    in
-    let hash = Ddf_data.hash value in
-    if hash <> stored_hash then
-      journal_errorf "instance %d: content hash mismatch (log corrupt?)" iid;
-    let applied =
-      if lenient && Store.mem store iid then begin
-        let inst = Store.find store iid in
-        if inst.Store.entity <> entity || inst.Store.data_hash <> hash then
-          journal_errorf
-            "instance %d already present with different content (log \
-             corrupt?)"
-            iid;
-        false
-      end
-      else begin
-        let got = Store.put store ~entity ~hash ~meta value in
-        if got <> iid then
-          journal_errorf "log out of order: instance %d replayed as %d" iid
-            got;
-        true
-      end
-    in
-    ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock;
-    applied
-  | S.Atom "note" :: fields ->
-    let iid = S.as_int (S.one "iid" (S.find_field fields "iid")) in
-    let meta = W.meta_of_sexp (S.one "meta" (S.find_field fields "meta")) in
-    if not (Store.mem store iid) then
-      journal_errorf "annotation of unknown instance %d" iid;
-    let inst = Store.find store iid in
-    if
-      lenient
-      && inst.Store.meta.Store.label = meta.Store.label
-      && inst.Store.meta.Store.comment = meta.Store.comment
-      && inst.Store.meta.Store.keywords = meta.Store.keywords
-    then false
-    else begin
+  let history = ctx.Ddf_exec.Engine.history in
+  let clock =
+    match S.as_list sexp with
+    | S.Atom "put" :: fields ->
+      let iid = S.as_int (S.one "iid" (S.find_field fields "iid")) in
+      let clock = S.as_int (S.one "clock" (S.find_field fields "clock")) in
+      let entity = S.as_atom (S.one "entity" (S.find_field fields "entity")) in
+      let stored_hash = S.as_atom (S.one "hash" (S.find_field fields "hash")) in
+      let meta = W.meta_of_sexp (S.one "meta" (S.find_field fields "meta")) in
+      let value =
+        try Codec.value_of_sexp (S.one "value" (S.find_field fields "value"))
+        with Codec.Codec_error m -> journal_errorf "entry for #%d: %s" iid m
+      in
+      let hash = Ddf_data.hash value in
+      if hash <> stored_hash then
+        journal_errorf "instance %d: content hash mismatch (log corrupt?)" iid;
+      let got = Store.put store ~entity ~hash ~meta value in
+      if got <> iid then
+        journal_errorf "log out of order: instance %d replayed as %d" iid got;
+      clock
+    | S.Atom "note" :: fields ->
+      let iid = S.as_int (S.one "iid" (S.find_field fields "iid")) in
+      let meta = W.meta_of_sexp (S.one "meta" (S.find_field fields "meta")) in
+      if not (Store.mem store iid) then
+        journal_errorf "annotation of unknown instance %d" iid;
       Store.annotate store iid ~label:meta.Store.label
         ~comment:meta.Store.comment ~keywords:meta.Store.keywords ();
-      true
-    end
-  | [ S.Atom "record"; clock_field; r ] ->
-    let clock =
-      match clock_field with
-      | S.List [ S.Atom "clock"; c ] -> S.as_int c
-      | _ -> journal_errorf "malformed record entry"
-    in
-    let p =
-      try W.record_of_sexp r
-      with W.Persist_error m -> journal_errorf "record entry: %s" m
-    in
-    let history = ctx.Ddf_exec.Engine.history in
-    let applied =
-      if lenient && p.W.rp_rid < History.tick history then begin
-        (* raises if the claimed record was never actually replayed *)
-        ignore (History.find history p.W.rp_rid);
-        false
-      end
-      else begin
-        let r =
-          History.add history ~task_entity:p.W.rp_task_entity
-            ~tool:p.W.rp_tool ~inputs:p.W.rp_inputs ~outputs:p.W.rp_outputs
-            ~at:p.W.rp_at
-        in
-        if r.History.rid <> p.W.rp_rid then
-          journal_errorf "log out of order: record %d replayed as %d"
-            p.W.rp_rid r.History.rid;
-        true
-      end
-    in
-    ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock;
-    applied
-  | S.Atom "conflict" :: fields ->
-    let int_f name = S.as_int (S.one name (S.find_field fields name)) in
-    let clock = int_f "clock" in
-    let cid = int_f "id" in
-    let history = ctx.Ddf_exec.Engine.history in
-    let applied =
-      if lenient && cid < History.conflict_tick history then begin
-        ignore (History.find_conflict history cid);
-        false
-      end
-      else begin
-        let c =
-          History.add_conflict history ~base:(int_f "base")
-            ~ours:(int_f "ours") ~theirs:(int_f "theirs")
-            ~origin:(S.as_atom (S.one "origin" (S.find_field fields "origin")))
-            ~at:(int_f "at")
-        in
-        if c.History.cid <> cid then
-          journal_errorf "log out of order: conflict %d replayed as %d" cid
-            c.History.cid;
-        true
-      end
-    in
-    ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock;
-    applied
-  | S.Atom "resolve" :: fields ->
-    let int_f name = S.as_int (S.one name (S.find_field fields name)) in
-    let clock = int_f "clock" in
-    let cid = int_f "id" in
-    let winner = int_f "winner" in
-    let history = ctx.Ddf_exec.Engine.history in
-    let already =
-      lenient
-      && (match History.find_conflict history cid with
-         | c -> c.History.c_winner = Some winner
-         | exception _ -> false)
-    in
-    if not already then
-      ignore (History.resolve_conflict history cid ~winner);
-    ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock;
-    not already
-  | _ -> journal_errorf "unknown log entry kind"
+      ctx.Ddf_exec.Engine.clock
+    | [ S.Atom "record"; clock_field; r ] ->
+      let clock =
+        match clock_field with
+        | S.List [ S.Atom "clock"; c ] -> S.as_int c
+        | _ -> journal_errorf "malformed record entry"
+      in
+      let p =
+        try W.record_of_sexp r
+        with W.Persist_error m -> journal_errorf "record entry: %s" m
+      in
+      let r =
+        History.add history ~task_entity:p.W.rp_task_entity ~tool:p.W.rp_tool
+          ~inputs:p.W.rp_inputs ~outputs:p.W.rp_outputs ~at:p.W.rp_at
+      in
+      if r.History.rid <> p.W.rp_rid then
+        journal_errorf "log out of order: record %d replayed as %d" p.W.rp_rid
+          r.History.rid;
+      clock
+    | S.Atom "conflict" :: fields ->
+      let int_f name = S.as_int (S.one name (S.find_field fields name)) in
+      let cid = int_f "id" in
+      let c =
+        History.add_conflict history ~base:(int_f "base") ~ours:(int_f "ours")
+          ~theirs:(int_f "theirs")
+          ~origin:(S.as_atom (S.one "origin" (S.find_field fields "origin")))
+          ~at:(int_f "at")
+      in
+      if c.History.cid <> cid then
+        journal_errorf "log out of order: conflict %d replayed as %d" cid
+          c.History.cid;
+      int_f "clock"
+    | S.Atom "resolve" :: fields ->
+      let int_f name = S.as_int (S.one name (S.find_field fields name)) in
+      ignore
+        (History.resolve_conflict history (int_f "id") ~winner:(int_f "winner"));
+      int_f "clock"
+    | _ -> journal_errorf "unknown log entry kind"
+  in
+  ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock
 
 (* ------------------------------------------------------------------ *)
 (* Observers: the live write path                                      *)
@@ -515,41 +477,85 @@ let sync j =
     | exception e -> fail_stop j e
   end
 
-(* Replay wal.ddf into [ctx]; returns (entries, torn-tail bytes
-   dropped, entries that actually applied something new).  The file is
-   truncated at the first torn frame.  [applied] = 0 with entries > 0
-   means the snapshot already held everything — the signal [open_]
-   uses to detect a compaction that crashed between its base write and
-   its wal truncation. *)
-let replay_wal ctx path =
-  if not (Sys.file_exists path) then (0, 0, 0)
-  else begin
-    let ic = open_in_bin path in
-    let total = in_channel_length ic in
-    let entries = ref 0 in
-    let applied = ref 0 in
-    let good_end =
-      let rec go () =
-        match read_frame ic with
-        | None -> pos_in ic
-        | Some payload ->
-          (* lenient: a crash inside [compact] can leave a snapshot
-             that already folded in a prefix of this wal *)
-          if replay_entry ~lenient:true ctx payload then incr applied;
-          incr entries;
-          Ddf_obs.Metrics.incr m_replayed;
-          go ()
-      in
-      try go () with Torn at -> at
+(* Read the segment at [path]: [f seqno payload] for each frame in
+   order, seqnos counted from its header, while [f] returns [true].
+   Returns the header's first seqno ([None] for a segment cut short at
+   creation, with nothing in it), how many frames were read, and — if
+   a torn frame stopped the read — the offset where the complete
+   frames end. *)
+let scan_segment path f =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  match read_segment_header path ic with
+  | None -> (None, 0, None)
+  | Some first ->
+    let rec go seqno =
+      match read_frame ic with
+      | None -> (seqno - first, None)
+      | Some payload ->
+        if f seqno payload then go (seqno + 1) else (seqno - first + 1, None)
+      | exception Torn at -> (seqno - first, Some at)
     in
-    close_in ic;
-    let torn = total - good_end in
-    if torn > 0 then begin
-      Ddf_obs.Metrics.incr m_torn;
-      Unix.truncate path good_end
-    end;
-    (!entries, torn, !applied)
-  end
+    let count, torn = go first in
+    (Some first, count, torn)
+
+let is_segment_name name =
+  name = "wal.ddf"
+  ||
+  match String.split_on_char '.' name with
+  | [ "wal"; n; "ddf" ] -> int_of_string_opt n <> None
+  | _ -> false
+
+(* Recovery: replay every segment frame above [from] (the snapshot's
+   seqno) into [ctx], in seqno order, truncating torn tails.  Returns
+   the last seqno, the torn bytes dropped and each segment as
+   (first, path, frames).  A segment cut short at creation held
+   nothing and is removed; a seqno that no file holds is a typed
+   error. *)
+let replay_segments ctx dir ~from =
+  let heads =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter is_segment_name
+    |> List.filter_map (fun name ->
+           let path = Filename.concat dir name in
+           let ic = open_in_bin path in
+           let first =
+             Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+                 read_segment_header path ic)
+           in
+           match first with
+           | Some first -> Some (first, path)
+           | None ->
+             Sys.remove path;
+             None)
+    |> List.sort compare
+  in
+  let last = ref from and torn = ref 0 in
+  let segs =
+    List.map
+      (fun (first, path) ->
+        if first > !last + 1 then
+          journal_errorf "journal gap: entries %d..%d are missing (%s starts at %d)"
+            (!last + 1) (first - 1) (Filename.basename path) first;
+        let _, count, torn_at =
+          scan_segment path (fun seqno payload ->
+              if seqno > !last then begin
+                replay_entry ctx payload;
+                last := seqno;
+                Ddf_obs.Metrics.incr m_replayed
+              end;
+              true)
+        in
+        Option.iter
+          (fun good_end ->
+            Ddf_obs.Metrics.incr m_torn;
+            torn := !torn + ((Unix.stat path).Unix.st_size - good_end);
+            Unix.truncate path good_end)
+          torn_at;
+        (first, path, count))
+      heads
+  in
+  (!last, !torn, segs)
 
 (* ------------------------------------------------------------------ *)
 (* Tiered cold storage (the cement store)                              *)
@@ -642,21 +648,40 @@ let evict_cold j =
       owners;
     !n
 
+(* Delete the closed segments a durable snapshot covers.  Each one's
+   frames reached cement before it was closed, so cement keeps the
+   history they held. *)
+let drop_covered_segments j =
+  let rec go = function
+    | (_, path) :: rest
+      when (match rest with (next, _) :: _ -> next | [] -> j.j_live_first) - 1
+           <= j.j_base ->
+      Fault.fire "journal.segment_delete";
+      Sys.remove path;
+      j.j_closed_segs <- rest;
+      go rest
+    | _ -> ()
+  in
+  go j.j_closed_segs
+
 let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group)
     ?(cement = true) ~dir schema =
   if compact_every < 1 then journal_errorf "compact_every must be positive";
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   if not (Sys.is_directory dir) then journal_errorf "%s is not a directory" dir;
-  let ctx =
+  let ctx, snap_seq, snap_clock =
     if Sys.file_exists (snapshot_path dir) then
-      let session =
-        try W.load_file ?registry schema (snapshot_path dir)
+      let session, seq =
+        try W.load_file_seq ?registry schema (snapshot_path dir)
         with W.Persist_error m -> journal_errorf "snapshot: %s" m
       in
-      Ddf_session.Session.context session
-    else Ddf_exec.Engine.create_context ?registry schema
+      let ctx = Ddf_session.Session.context session in
+      (ctx, Option.value seq ~default:0, Some ctx.Ddf_exec.Engine.clock)
+    else (Ddf_exec.Engine.create_context ?registry schema, 0, None)
   in
-  let entries, torn, applied = replay_wal ctx (wal_path dir) in
+  (* a snapshot write that never reached its rename *)
+  (try Sys.remove (snapshot_path dir ^ ".tmp") with Sys_error _ -> ());
+  let seq, torn, segs = replay_segments ctx dir ~from:snap_seq in
   (* counters were restored by dense re-insertion; assert the ticks
      agree with the contents before trusting the database *)
   let store = ctx.Ddf_exec.Engine.store in
@@ -667,13 +692,33 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group)
   if History.tick ctx.Ddf_exec.Engine.history
      <> History.size ctx.Ddf_exec.Engine.history + 1
   then journal_errorf "record counter disagrees with the history size";
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (wal_path dir)
+  (* wal.ddf stays live when it ends at [seq]; otherwise the snapshot
+     covers it and a fresh one starts after [seq] *)
+  let live = wal_path dir in
+  let live_first, closed =
+    match List.rev segs with
+    | (first, path, count) :: older when path = live && first + count - 1 = seq
+      ->
+      (Some first, List.rev older)
+    | _ ->
+      List.iter
+        (fun (first, path, count) ->
+          if path = live && first + count - 1 > snap_seq then
+            journal_errorf "wal.ddf is not the newest segment")
+        segs;
+      (None, List.filter (fun (_, path, _) -> path <> live) segs)
   in
-  let base = read_base dir in
+  let oc, live_first =
+    match live_first with
+    | Some first -> (open_out_gen [ Open_append; Open_binary ] 0o644 live, first)
+    | None -> (create_segment live (seq + 1), seq + 1)
+  in
   let j =
     { j_dir = dir; j_ctx = ctx; j_registry = registry; j_oc = oc;
-      j_entries = entries; j_base = base; j_seq = base + entries;
+      j_live_first = live_first;
+      j_closed_segs = List.map (fun (first, path, _) -> (first, path)) closed;
+      j_entries = seq - live_first + 1; j_base = snap_seq;
+      j_snap_clock = snap_clock; j_seq = seq; j_running = None;
       j_truncated = torn; j_closed = false; j_failed = None;
       j_frame_obs = None; compact_every;
       j_sync_mode = sync_mode; j_pending = 0;
@@ -683,113 +728,212 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group)
      tail recovery on its newest segment) happen now, not mid-query *)
   if cement && Sys.file_exists (cemented_dir dir) then
     ignore (cement_store j);
-  (* Crash between compact's base write and its wal truncation: replay
-     proved the wal fully redundant (nothing applied) while the cement
-     watermark sits exactly at the new base — so these frames are the
-     pre-compaction wal, already folded into both snapshot and cement.
-     Complete the interrupted truncation instead of double-counting
-     them into the seqno line.  (The other crash window — snapshot
-     renamed, base still old — is left alone: there the cement
-     watermark equals base + entries, not base.) *)
-  if applied = 0 && entries > 0 then
-    (match j.j_cement with
-    | Some c when Cement.last_seq c = base && base > 0 ->
-      close_out j.j_oc;
-      j.j_oc <-
-        open_out_gen
-          [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
-          0o644 (wal_path dir);
-      j.j_entries <- 0;
-      j.j_seq <- base
-    | _ -> ());
+  drop_covered_segments j;
   install_cold_loader j;
   attach j;
   j
 
-(* Wal entries with seqno > [since], as (seqno, payload) ascending.
-   Reads the file back from its start (the i-th frame is entry
-   base+i); callers must exclude writers so the file ends exactly at
-   the last complete frame. *)
-let wal_tail j since =
+(* Every frame with seqno > [after], ascending across the closed
+   segments and wal.ddf, while [f] returns [true].  Callers exclude
+   writers, so each segment ends at its last complete frame. *)
+let iter_frames j ~after f =
   flush j.j_oc;
-  if not (Sys.file_exists (wal_path j.j_dir)) then []
-  else begin
-    let ic = open_in_bin (wal_path j.j_dir) in
-    let frames = ref [] in
-    let n = ref j.j_base in
-    (try
-       let rec go () =
-         match read_frame ic with
-         | None -> ()
-         | Some payload ->
-           incr n;
-           if !n > since then frames := (!n, payload) :: !frames;
-           go ()
-       in
-       (try go () with Torn at -> journal_errorf "wal torn mid-read at %d" at)
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    close_in ic;
-    List.rev !frames
+  let rec go = function
+    | [] -> ()
+    | (_, path) :: rest ->
+      let next = match rest with (n, _) :: _ -> n | [] -> j.j_seq + 1 in
+      if next - 1 <= after then go rest
+      else begin
+        let stopped = ref false in
+        let _, _, torn =
+          scan_segment path (fun seqno payload ->
+              seqno <= after
+              || f seqno payload
+              || (stopped := true;
+                  false))
+        in
+        Option.iter
+          (fun at -> journal_errorf "%s torn mid-read at %d" path at)
+          torn;
+        if not !stopped then go rest
+      end
+  in
+  go (j.j_closed_segs @ [ (j.j_live_first, wal_path j.j_dir) ])
+
+(* Entries with seqno > [since], as (seqno, payload) ascending. *)
+let wal_tail j since =
+  let out = ref [] in
+  iter_frames j ~after:since (fun n payload ->
+      out := (n, payload) :: !out;
+      true);
+  List.rev !out
+
+(* ------------------------------------------------------------------ *)
+(* Compaction                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Fold every frame above the cement watermark into cement: the frames
+   the next snapshot covers move to cold storage instead of vanishing.
+   [Cement.fold] is durable on return and skips already-cemented
+   seqnos, so a retry after any failure is idempotent. *)
+let fold_into_cement j =
+  if j.j_cement_enabled && j.j_seq > j.j_base then begin
+    let c = cement_store j in
+    (* a cold store that stops short of the current base (cement was
+       disabled for a while, or the directory was copied from another
+       line) cannot be extended contiguously: start over *)
+    if Cement.last_seq c <> 0 && Cement.last_seq c < j.j_base then
+      Cement.clear c;
+    let from = max j.j_base (Cement.last_seq c) in
+    if j.j_seq > from then Cement.fold c ~first:(from + 1) (wal_tail j from)
   end
+
+(* Close wal.ddf as wal.F.ddf and start a fresh wal.ddf after the last
+   entry.  The closing segment is fsynced first: its entries may belong
+   to a batch whose [sync] will only cover the fresh segment.  One
+   directory fsync pins the rename and the new file before anything is
+   journaled into it. *)
+let rotate j =
+  Fault.fire "journal.rotate";
+  (match j.j_sync_mode with
+  | Never -> flush j.j_oc
+  | Always | Group -> if j.j_pending > 0 then fsync_now j);
+  close_out j.j_oc;
+  let closed = closed_path j.j_dir j.j_live_first in
+  Sys.rename (wal_path j.j_dir) closed;
+  j.j_closed_segs <- j.j_closed_segs @ [ (j.j_live_first, closed) ];
+  j.j_oc <- create_segment (wal_path j.j_dir) (j.j_seq + 1);
+  j.j_live_first <- j.j_seq + 1;
+  j.j_entries <- 0;
+  fsync_dir j.j_dir
+
+(* The writer's share of a compaction: pin the state at the current
+   seqno, fold the frames it covers into cement, and rotate the live
+   segment so that the snapshot writer and the writer never share a
+   file.  Returns the image with its seqno and clock.  A fold failure
+   changes nothing; a rotation failure fail-stops the journal. *)
+let begin_compaction j =
+  let t0 = Unix.gettimeofday () in
+  let seq = j.j_seq and clock = j.j_ctx.Ddf_exec.Engine.clock in
+  let img = W.image ~seq (Ddf_session.Session.of_context j.j_ctx) in
+  fold_into_cement j;
+  if j.j_entries > 0 then (try rotate j with e -> fail_stop j e);
+  Ddf_obs.Metrics.incr m_compactions;
+  Ddf_obs.Metrics.observe h_stall ((Unix.gettimeofday () -. t0) *. 1e6);
+  (img, seq, clock)
+
+(* Write [img] as the next snapshot.ddf: a tmp file, fsync, rename,
+   one directory fsync.  Runs on the second domain (inline for
+   {!compact}) and touches nothing of the journal but its directory.
+   On failure the tmp file goes and the previous snapshot stays. *)
+let write_snapshot ~dir ~resident_only img =
+  let t0 = Unix.gettimeofday () in
+  let path = snapshot_path dir in
+  let tmp = path ^ ".tmp" in
+  match
+    let oc = open_out_bin tmp in
+    (try
+       Fault.fire "journal.snapshot_write";
+       W.output_image ~resident_only img oc;
+       fsync_oc oc;
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       raise e);
+    Fault.fire "journal.snapshot_rename";
+    Sys.rename tmp path;
+    fsync_dir dir
+  with
+  | () -> Ok (Unix.gettimeofday () -. t0)
+  | exception e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Error e
+
+(* Account for a finished snapshot write, on the writer.  Once the
+   snapshot at [seq] is durable the closed segments it covers go; a
+   failure leaves the previous snapshot and every segment in place,
+   for the next compaction to retry. *)
+let settle j ~seq ~clock result =
+  let failed e =
+    Ddf_obs.Metrics.incr m_compact_failures;
+    Error e
+  in
+  match result with
+  | Error e -> failed e
+  | Ok seconds -> (
+    Ddf_obs.Metrics.observe h_compact seconds;
+    j.j_base <- seq;
+    j.j_snap_clock <- Some clock;
+    match drop_covered_segments j with
+    | () -> Ok ()
+    | exception e -> failed e)
+
+(* Settle the background compaction if it has finished, or with
+   [~wait:true] once it has. *)
+let reap ?(wait = false) j =
+  match j.j_running with
+  | Some r when wait || Atomic.get r.r_done ->
+    j.j_running <- None;
+    settle j ~seq:r.r_seq ~clock:r.r_clock
+      (try Domain.join r.r_domain with e -> Error e)
+  | Some _ | None -> Ok ()
 
 let compact j =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   check_writable j;
-  Ddf_obs.Metrics.incr m_compactions;
-  let t0 = Unix.gettimeofday () in
-  (* Cement first: the wal frames about to be folded into the snapshot
-     move to cold storage instead of vanishing.  [Cement.fold] is
-     durable on return and skips already-cemented seqnos, so a crash
-     anywhere in compact leaves fold idempotent on retry. *)
-  (if j.j_cement_enabled && j.j_entries > 0 then begin
-     let c = cement_store j in
-     (* a cold store that stops short of the current base (cement was
-        disabled for a while, or the directory was copied from another
-        line) cannot be extended contiguously: start over *)
-     if Cement.last_seq c <> 0 && Cement.last_seq c < j.j_base then
-       Cement.clear c;
-     Cement.fold c ~first:(j.j_base + 1) (wal_tail j j.j_base)
-   end);
-  let tmp = snapshot_path j.j_dir ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     W.output (Ddf_session.Session.of_context j.j_ctx) oc;
-     fsync_oc oc;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp (snapshot_path j.j_dir);
-  write_base j.j_dir j.j_seq;
-  (* one directory fsync pins BOTH renames (snapshot.ddf and base.ddf):
-     without it a power cut can resurrect the old directory entries
-     even though both files were themselves fsynced *)
-  fsync_dir j.j_dir;
-  (* the log's contents are folded into the snapshot: restart it *)
-  close_out j.j_oc;
-  j.j_oc <-
-    open_out_gen
-      [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
-      0o644 (wal_path j.j_dir);
-  j.j_entries <- 0;
-  j.j_base <- j.j_seq;
-  (* every journaled entry is folded into the fsynced snapshot: this is
-     a durability point even for entries not yet fsynced in the wal *)
-  j.j_pending <- 0;
-  Ddf_obs.Metrics.observe h_compact (Unix.gettimeofday () -. t0)
+  ignore (reap ~wait:true j : (unit, exn) result);
+  (* nothing journaled and the clock unmoved since the installed
+     snapshot: rewriting it would produce the same bytes *)
+  if
+    not (j.j_base = j.j_seq && j.j_snap_clock = Some j.j_ctx.Ddf_exec.Engine.clock)
+  then begin
+    let img, seq, clock = begin_compaction j in
+    match
+      settle j ~seq ~clock
+        (write_snapshot ~dir:j.j_dir ~resident_only:false img)
+    with
+    | Ok () -> ()
+    | Error e -> raise e
+  end
 
 let maybe_compact j =
-  if (not j.j_closed) && j.j_entries >= j.compact_every then begin
-    compact j;
-    true
+  if j.j_closed || j.j_failed <> None then false
+  else begin
+    ignore (reap j : (unit, exn) result);
+    if j.j_entries < j.compact_every then false
+    else if j.j_running <> None then begin
+      Ddf_obs.Metrics.incr m_deferred;
+      false
+    end
+    else
+      match begin_compaction j with
+      | exception _ ->
+        Ddf_obs.Metrics.incr m_compact_failures;
+        false
+      | img, seq, clock ->
+        let dir = j.j_dir and r_done = Atomic.make false in
+        (* the second domain must not reach the store's cold loader
+           (cement is the writer's): a payload that is not resident
+           fails this compaction instead *)
+        (match
+           Domain.spawn (fun () ->
+               let r = write_snapshot ~dir ~resident_only:true img in
+               Atomic.set r_done true;
+               r)
+         with
+        | d ->
+          j.j_running <-
+            Some { r_seq = seq; r_clock = clock; r_done; r_domain = d }
+        | exception _ ->
+          ignore
+            (settle j ~seq ~clock (write_snapshot ~dir ~resident_only:false img)
+              : (unit, exn) result));
+        true
   end
-  else false
 
 let close j =
   if not j.j_closed then begin
+    ignore (reap ~wait:true j : (unit, exn) result);
     detach j;
     (* best effort: a failed (or failing) journal still closes — its
        good prefix is already safe, and close is called from shutdown
@@ -806,6 +950,34 @@ let close j =
     j.j_closed <- true
   end
 
+(* Open snapshot.ddf and read the seqno its header names.  The
+   descriptor pins that inode, so the pair stays consistent even when
+   a compaction renames a newer snapshot into place a moment later. *)
+let pin_snapshot j =
+  let fd = Unix.openfile (snapshot_file j) [ Unix.O_RDONLY ] 0 in
+  match
+    let buf = Bytes.create 256 in
+    let rec fill n =
+      if n = Bytes.length buf then n
+      else
+        match Unix.read fd buf n (Bytes.length buf - n) with
+        | 0 -> n
+        | k -> fill (n + k)
+    in
+    let n = fill 0 in
+    ignore (Unix.lseek fd 0 Unix.SEEK_SET : int);
+    W.seq_of_prefix (Bytes.sub_string buf 0 n)
+  with
+  | Some seq -> (seq, fd)
+  | None ->
+    Unix.close fd;
+    journal_errorf "snapshot.ddf names no seqno"
+  | exception e ->
+    Unix.close fd;
+    (match e with
+    | W.Persist_error m -> journal_errorf "snapshot: %s" m
+    | e -> raise e)
+
 (* ------------------------------------------------------------------ *)
 (* Replication: tailing, follower application, snapshot resync         *)
 (* ------------------------------------------------------------------ *)
@@ -817,10 +989,10 @@ type tail =
   | Frames of (int * string) list
   | Snapshot_needed
 
-(* Entries with seqno > [since], read back from the on-disk wal.  The
-   i-th frame of the wal is entry base+i.  Callers must exclude writers
-   (the server reads the tail from its single-writer loop), so the file
-   ends exactly at the last complete frame. *)
+(* Entries with seqno > [since], read back from the on-disk segments.
+   Callers must exclude writers (the server reads the tail from its
+   single-writer loop), so each segment ends at its last complete
+   frame. *)
 let entries_since j since =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   if since < j.j_base then Snapshot_needed
@@ -835,31 +1007,15 @@ let entries_since j since =
 
 let frame_digest payload = Digest.to_hex (Digest.string payload)
 
-(* (seqno, md5) for every wal frame, ascending — entries base+1..seq. *)
+(* (seqno, md5) for every segment frame above the snapshot, ascending
+   — entries base+1..seq. *)
 let digest j =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
-  flush j.j_oc;
-  if not (Sys.file_exists (wal_path j.j_dir)) then []
-  else begin
-    let ic = open_in_bin (wal_path j.j_dir) in
-    let out = ref [] in
-    let n = ref j.j_base in
-    (try
-       let rec go () =
-         match read_frame ic with
-         | None -> ()
-         | Some payload ->
-           incr n;
-           out := (!n, frame_digest payload) :: !out;
-           go ()
-       in
-       (try go () with Torn at -> journal_errorf "wal torn mid-read at %d" at)
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    close_in ic;
-    List.rev !out
-  end
+  let out = ref [] in
+  iter_frames j ~after:j.j_base (fun n payload ->
+      out := (n, frame_digest payload) :: !out;
+      true);
+  List.rev !out
 
 (* At most [limit] frames with seqno > [after], as (seqno, md5,
    payload) ascending.  Frames below the snapshot base are served from
@@ -895,34 +1051,14 @@ let rec frames j ~after ~limit =
         cold @ frames j ~after:j.j_base ~limit:(limit - got)
       else cold
   end
+  else if after >= j.j_seq || limit = 0 then []
   else begin
-  flush j.j_oc;
-  if after >= j.j_seq || limit = 0 then []
-  else begin
-    let ic = open_in_bin (wal_path j.j_dir) in
-    let out = ref [] in
-    let taken = ref 0 in
-    let n = ref j.j_base in
-    (try
-       let rec go () =
-         if !taken < limit then
-           match read_frame ic with
-           | None -> ()
-           | Some payload ->
-             incr n;
-             if !n > after then begin
-               incr taken;
-               out := (!n, frame_digest payload, payload) :: !out
-             end;
-             go ()
-       in
-       (try go () with Torn at -> journal_errorf "wal torn mid-read at %d" at)
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    close_in ic;
+    let out = ref [] and taken = ref 0 in
+    iter_frames j ~after (fun n payload ->
+        out := (n, frame_digest payload, payload) :: !out;
+        incr taken;
+        !taken < limit);
     List.rev !out
-  end
   end
 
 (* A stable workspace identity for the sync fabric, minted on first
@@ -980,7 +1116,7 @@ let apply j ~seq payload =
     journal_errorf ~code:`Conflict "replication gap: expected entry %d, got %d"
       (j.j_seq + 1) seq;
   detach j;
-  (try ignore (replay_entry j.j_ctx payload : bool)
+  (try replay_entry j.j_ctx payload
    with e ->
      attach j;
      raise e);
@@ -998,35 +1134,6 @@ let apply j ~seq payload =
   match j.j_frame_obs with
   | Some f -> f j.j_seq payload
   | None -> ()
-
-(* Shared tail of a resync, entered with the new snapshot.ddf already
-   renamed into place and observers detached: base.ddf, a truncated
-   wal, then the in-memory context is swapped to the freshly loaded
-   store/history/clock in place, so sessions holding the context
-   observe the new state. *)
-let finish_reset j ~seq fresh =
-  write_base j.j_dir seq;
-  (* one directory fsync pins both renames (snapshot + base) *)
-  fsync_dir j.j_dir;
-  close_out j.j_oc;
-  j.j_oc <-
-    open_out_gen
-      [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
-      0o644 (wal_path j.j_dir);
-  j.j_ctx.Ddf_exec.Engine.store <- fresh.Ddf_exec.Engine.store;
-  j.j_ctx.Ddf_exec.Engine.history <- fresh.Ddf_exec.Engine.history;
-  j.j_ctx.Ddf_exec.Engine.clock <- fresh.Ddf_exec.Engine.clock;
-  j.j_entries <- 0;
-  j.j_base <- seq;
-  j.j_seq <- seq;
-  j.j_pending <- 0;
-  (* the resync rebased the seqno line: the cemented history belongs
-     to the pre-reset database and can never be extended contiguously *)
-  (match j.j_cement with Some c -> Cement.clear c | None -> ());
-  (* the fresh store needs the cold loader re-wired (it replaced the
-     one the loader was installed on) *)
-  install_cold_loader j;
-  attach j
 
 let m_stream_resyncs = Ddf_obs.Metrics.counter "journal.snapshot_stream_resyncs"
 
@@ -1065,16 +1172,26 @@ let rename_or_copy src dst =
    to disk in bounded chunks (a streamed bootstrap), so the snapshot
    bytes never cross the wire as one in-memory string, and the load
    installs them one instance at a time.  The file is loaded FIRST — a
-   malformed stream must not clobber the database — then fsynced and
-   renamed into place. *)
+   malformed stream must not clobber the database.  The old segments
+   go newest first, before the snapshot is renamed into place: a crash
+   in between reopens the old snapshot with a prefix of its segments,
+   a prefix of the history the primary tops up again. *)
 let reset_to_snapshot_file j ~seq path =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
+  ignore (reap ~wait:true j : (unit, exn) result);
   Ddf_obs.Metrics.incr m_resyncs;
   Ddf_obs.Metrics.incr m_stream_resyncs;
-  let session =
-    try W.load_file ?registry:j.j_registry j.j_ctx.Ddf_exec.Engine.schema path
+  let session, file_seq =
+    try
+      W.load_file_seq ?registry:j.j_registry j.j_ctx.Ddf_exec.Engine.schema path
     with W.Persist_error m -> journal_errorf "replication snapshot: %s" m
   in
+  if file_seq <> Some seq then
+    journal_errorf ~code:`Invalid "replication snapshot for entry %d holds %s"
+      seq
+      (match file_seq with
+      | Some s -> Printf.sprintf "entry %d" s
+      | None -> "no seqno");
   let fresh = Ddf_session.Session.context session in
   detach j;
   (match
@@ -1083,10 +1200,36 @@ let reset_to_snapshot_file j ~seq path =
        (try Unix.fsync fd with Unix.Unix_error _ -> ());
        Unix.close fd
      | exception Unix.Unix_error _ -> ());
-     rename_or_copy path (snapshot_path j.j_dir)
+     close_out j.j_oc;
+     List.iter
+       (fun (_, segment) ->
+         Fault.fire "journal.segment_delete";
+         Sys.remove segment)
+       (List.rev (j.j_closed_segs @ [ (j.j_live_first, wal_path j.j_dir) ]));
+     j.j_closed_segs <- [];
+     rename_or_copy path (snapshot_path j.j_dir);
+     j.j_oc <- create_segment (wal_path j.j_dir) (seq + 1);
+     (* one directory fsync pins the deletions, the rename and the new
+        segment *)
+     fsync_dir j.j_dir
    with
   | () -> ()
   | exception e ->
     attach j;
-    raise e);
-  finish_reset j ~seq fresh
+    fail_stop j e);
+  j.j_ctx.Ddf_exec.Engine.store <- fresh.Ddf_exec.Engine.store;
+  j.j_ctx.Ddf_exec.Engine.history <- fresh.Ddf_exec.Engine.history;
+  j.j_ctx.Ddf_exec.Engine.clock <- fresh.Ddf_exec.Engine.clock;
+  j.j_live_first <- seq + 1;
+  j.j_entries <- 0;
+  j.j_base <- seq;
+  j.j_snap_clock <- Some fresh.Ddf_exec.Engine.clock;
+  j.j_seq <- seq;
+  j.j_pending <- 0;
+  (* the resync rebased the seqno line: the cemented history belongs
+     to the pre-reset database and can never be extended contiguously *)
+  (match j.j_cement with Some c -> Cement.clear c | None -> ());
+  (* the fresh store needs the cold loader re-wired (it replaced the
+     one the loader was installed on) *)
+  install_cold_loader j;
+  attach j

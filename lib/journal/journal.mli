@@ -13,9 +13,12 @@
     Crash safety: frames are self-delimiting with an MD5 checksum, so
     a torn tail (power cut mid-append) is detected and truncated on
     open; everything up to the last complete frame replays.  Periodic
-    {!compact} folds the log into a full workspace snapshot
+    compaction folds the log into a full workspace snapshot
     ([snapshot.ddf], the {!Ddf_persist.Workspace_file} format) and
-    truncates the log. *)
+    drops the log segments it covers.  Every file states which seqnos
+    it holds: the snapshot's [(seq N)] header, and each segment's
+    first line ([S1 first]).  Recovery loads the snapshot at [N] and
+    applies every segment frame above [N] in order. *)
 
 exception Journal_error of Ddf_core.Error.t
 (** Deprecated alias of {!Ddf_core.Error.Ddf_error}: corruption and
@@ -47,16 +50,17 @@ val open_ :
   ?cement:bool ->
   dir:string -> Ddf_schema.Schema.t -> t
 (** Open a database directory (created when missing): load
-    [snapshot.ddf] if present, replay [wal.ddf] (truncating a torn
-    tail), then attach write observers to the rebuilt context so
-    subsequent mutations are journaled.  [compact_every] (default
-    10_000) is the log-entry threshold {!maybe_compact} acts on.
+    [snapshot.ddf] if present, replay the frames of every log segment
+    above its seqno (truncating a torn tail), then attach write
+    observers to the rebuilt context so subsequent mutations are
+    journaled.  [compact_every] (default 10_000) is the log-entry
+    threshold {!maybe_compact} acts on.
     [sync_mode] (default {!Group}) sets when entries become durable.
     [cement] (default [true]) keeps compacted history in the tiered
     cold store (see the {!section-cement} section); [false] restores
     the old discard-on-compact behaviour.
     @raise Journal_error on corruption before the tail (iid/rid or
-    content-hash mismatches). *)
+    content-hash mismatches) and on a seqno that no file holds. *)
 
 val sync_mode : t -> sync_mode
 val set_sync_mode : t -> sync_mode -> unit
@@ -68,6 +72,7 @@ val context : t -> Ddf_exec.Engine.context
 val dir : t -> string
 
 val entries_since_snapshot : t -> int
+(** Entries journaled since the last compaction began. *)
 
 val truncated_on_open : t -> int
 (** Bytes of torn tail dropped by crash recovery during {!open_}. *)
@@ -90,26 +95,42 @@ val sync : t -> unit
     pending. *)
 
 val compact : t -> unit
-(** Write a fresh snapshot (atomically, via rename) and truncate the
-    log.  With cement enabled the truncated frames are first folded
-    into the cold store, so the full history stays addressable by
-    seqno.  The snapshot and base renames are pinned by a directory
-    fsync (crash point [journal.dir_fsync]); the whole operation is
-    timed into the [journal.compact_seconds] histogram. *)
+(** Synchronous compaction: wait for a background one in flight, then
+    write a snapshot of the current state and drop the segments it
+    covers.  A no-op when the installed snapshot already holds the
+    current seqno and clock.  The steps are those of {!maybe_compact},
+    all on the calling thread.
+    @raise Journal_error (or the I/O error) when the snapshot cannot
+    be written; the previous snapshot and every segment stay. *)
 
 val maybe_compact : t -> bool
-(** {!compact} when the log has reached [compact_every] entries;
-    returns whether it did. *)
+(** Start a background compaction when [compact_every] entries were
+    journaled since the last one began; returns whether it started
+    one.  The caller's share (timed into [journal.compact_stall_us])
+    is to pin a view, fold the frames it covers into cement, and
+    rotate the live segment ([wal.ddf] becomes [wal.F.ddf]).  A second
+    domain then writes the pinned view to [snapshot.ddf.tmp], fsyncs
+    it, renames it into place and fsyncs the directory (timed into
+    [journal.compact_seconds]), while the caller keeps journaling.
+    Later calls settle it: the closed segments the new snapshot
+    covers are deleted.  While one is in flight a call over the
+    threshold counts [journal.compactions_deferred] and does nothing.
+    A failure is counted in [journal.compact_failures] and leaves the
+    previous snapshot and every segment; it is never raised.  The
+    background write refuses payloads that only the store's cold
+    loader could supply (a database that ran {!evict_cold} compacts
+    with {!compact}). *)
 
 val close : t -> unit
-(** Detach the observers, {!sync} and close the log.  The context
-    remains usable but further writes are no longer journaled. *)
+(** Wait for a background compaction, detach the observers, {!sync}
+    and close the log.  The context remains usable but further writes
+    are no longer journaled. *)
 
 (** {1 Replication (journal shipping)}
 
-    Every journaled entry has a global sequence number: the snapshot
-    covers entries [1..base_seq] (persisted in [base.ddf]) and the wal
-    holds [base_seq+1..seq].  A primary streams frames tagged with
+    Every journaled entry has a global sequence number: the installed
+    snapshot covers entries [1..base_seq] and the log segments hold
+    [base_seq+1..seq].  A primary streams frames tagged with
     their seqnos; a follower applies them through its own journal, so
     its wal is byte-for-byte the primary's log suffix. *)
 
@@ -117,7 +138,8 @@ val seq : t -> int
 (** Sequence number of the last entry journaled (applied or appended). *)
 
 val base_seq : t -> int
-(** Sequence number folded into the current snapshot. *)
+(** Sequence number held by the installed snapshot.  A background
+    compaction moves it when the writer settles it. *)
 
 val set_frame_observer : t -> (int -> string -> unit) -> unit
 (** Install the single frame observer, called with [(seqno, payload)]
@@ -134,7 +156,7 @@ type tail =
 
 val entries_since : t -> int -> tail
 (** Entries with seqno greater than the argument, read back from the
-    on-disk wal.  Call with writers excluded (the design server calls
+    on-disk segments.  Call with writers excluded (the design server calls
     it from its single-writer loop). *)
 
 (** {1 Anti-entropy sync support}
@@ -146,7 +168,7 @@ val entries_since : t -> int -> tail
     the replication readers, call these with writers excluded. *)
 
 val digest : t -> (int * string) list
-(** [(seqno, md5)] per wal frame, ascending — entries
+(** [(seqno, md5)] per segment frame, ascending — entries
     [base_seq+1 .. seq].  The md5 is the frame-header checksum, so
     equal digests mean byte-identical entries. *)
 
@@ -177,23 +199,31 @@ val reset_to_snapshot_file : t -> seq:int -> string -> unit
     live context, in place) with a primary snapshot taken at [seq] and
     spooled to the given file path in bounded chunks (a streamed
     bootstrap), so the state never exists as one in-memory string.
-    The file is parsed first — a malformed stream leaves the database
-    untouched — then fsynced and renamed (or copied across
-    filesystems) into place.  Clears the cement store — its history
+    The file is parsed first — a malformed stream, or one whose
+    [(seq N)] header is not [seq], leaves the database untouched —
+    then the old segments are deleted, newest first, and the file is
+    fsynced and renamed (or copied across filesystems) into place.  Clears the cement store — its history
     belongs to the pre-reset seqno line.  Counts
     [journal.snapshot_stream_resyncs] on top of
     [journal.snapshot_resyncs].
     @raise Journal_error when the file does not parse. *)
 
 val snapshot_file : t -> string
-(** Path of [snapshot.ddf] in this database directory — the file a
-    primary streams to bootstrap a follower.  Exists whenever
-    [base_seq t > 0]. *)
+(** Path of [snapshot.ddf] in this database directory.  Exists
+    whenever [base_seq t > 0]; it may already hold a later seqno than
+    [base_seq] while a background compaction is being settled. *)
+
+val pin_snapshot : t -> int * Unix.file_descr
+(** Open [snapshot.ddf] and read the seqno its header names — the
+    pair a primary streams to bootstrap a follower.  The descriptor
+    pins the inode, so a compaction renaming a newer snapshot into
+    place cannot change what it reads.  The caller closes it.
+    @raise Journal_error when the file names no seqno. *)
 
 (** {1:cement Tiered cold storage}
 
-    With cement enabled (the {!open_} default), {!compact} folds the
-    wal frames it is about to truncate into an append-only, indexed
+    With cement enabled (the {!open_} default), a compaction folds the
+    frames its snapshot covers into an append-only, indexed
     cold store under [cemented/] (see {!Ddf_cement.Cement}).  The full
     journaled history 1..seq then stays addressable: seqnos at or
     below [base_seq] resolve by positioned reads against cement,

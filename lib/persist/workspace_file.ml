@@ -41,13 +41,17 @@ let meta_of_sexp sexp =
       ~created_at:(S.as_int created_at) ()
   | _ -> persist_errorf "malformed meta"
 
-let instance_to_sexp store iid =
+(* [resident_only] refuses a payload the store would have to reload
+   from cold storage: the loader is not safe to call off the writer. *)
+let instance_to_sexp ~resident_only snap iid =
+  if resident_only && not (Store.Snapshot.payload_resident snap iid) then
+    persist_errorf "payload of instance %d is not resident" iid;
   S.list
     [ S.int iid;
-      S.atom (Store.entity_of store iid);
-      meta_to_sexp (Store.meta_of store iid);
-      S.atom (Store.hash_of store iid);
-      Codec.value_to_sexp (Store.payload store iid) ]
+      S.atom (Store.Snapshot.entity_of snap iid);
+      meta_to_sexp (Store.Snapshot.meta_of snap iid);
+      S.atom (Store.Snapshot.hash_of snap iid);
+      Codec.value_to_sexp (Store.Snapshot.payload snap iid) ]
 
 let record_to_sexp (r : History.record) =
   S.list
@@ -107,6 +111,30 @@ let record_of_sexp sexp =
 (* The bound on the buffer a streamed save drains through. *)
 let chunk_bytes = 65536
 
+(* Everything a save writes, captured at one instant: one pinned view
+   plus the clock, the user and the flow catalog beside it.  Writing an
+   image reads nothing live, so it may run on another domain while the
+   session keeps committing. *)
+type image = {
+  i_user : string;
+  i_clock : int;
+  i_seq : int option;
+  i_view : Ddf_exec.Engine.view;
+  i_flows : (string * Ddf_graph.Task_graph.t) list;
+}
+
+let image ?seq session =
+  let ctx = Ddf_session.Session.context session in
+  { i_user = ctx.Ddf_exec.Engine.user; i_clock = ctx.Ddf_exec.Engine.clock;
+    i_seq = seq; i_view = Ddf_session.Session.pin session;
+    i_flows =
+      List.filter_map
+        (fun name ->
+          Option.map
+            (fun g -> (name, g))
+            (Ddf_session.Session.catalog_flow session name))
+        (Ddf_session.Session.flow_catalog session) }
+
 (* Emit the whole file into [buf], one instance or record at a time,
    its sections in the one order the reader requires and its
    instances in ascending iid order (installation order).  [drain]
@@ -114,10 +142,9 @@ let chunk_bytes = 65536
    end; a drain that empties [buf] keeps the save in bounded memory.
    The bytes are exactly [S.to_string] of the file's tree followed by
    a newline. *)
-let emit session buf ~drain =
-  let ctx = Ddf_session.Session.context session in
-  let store = ctx.Ddf_exec.Engine.store in
-  let history = ctx.Ddf_exec.Engine.history in
+let emit ?(resident_only = false) img buf ~drain =
+  let snap = img.i_view.Ddf_exec.Engine.v_store in
+  let history = img.i_view.Ddf_exec.Engine.v_history in
   let w = S.writer buf in
   let section name items item_to_sexp =
     S.open_list w;
@@ -132,38 +159,37 @@ let emit session buf ~drain =
   S.open_list w;
   S.add w (S.atom "ddf_workspace");
   S.add w (S.field "version" [ S.int format_version ]);
-  S.add w (S.field "user" [ S.atom ctx.Ddf_exec.Engine.user ]);
-  S.add w (S.field "clock" [ S.int ctx.Ddf_exec.Engine.clock ]);
-  section "instances" (Store.all_instances store) (instance_to_sexp store);
-  section "records" (History.records history) record_to_sexp;
+  Option.iter (fun seq -> S.add w (S.field "seq" [ S.int seq ])) img.i_seq;
+  S.add w (S.field "user" [ S.atom img.i_user ]);
+  S.add w (S.field "clock" [ S.int img.i_clock ]);
+  section "instances"
+    (Store.Snapshot.all_instances snap)
+    (instance_to_sexp ~resident_only snap);
+  section "records" (History.Snapshot.records history) record_to_sexp;
   (* omitted when empty, so files without sync conflicts keep the
      exact pre-sync shape *)
-  (match History.all_conflicts history with
+  (match History.Snapshot.all_conflicts history with
   | [] -> ()
   | cs -> section "conflicts" cs conflict_to_sexp);
-  section "flows"
-    (List.filter_map
-       (fun name ->
-         Option.map
-           (fun g -> (name, g))
-           (Ddf_session.Session.catalog_flow session name))
-       (Ddf_session.Session.flow_catalog session))
-    (fun (name, g) ->
+  section "flows" img.i_flows (fun (name, g) ->
       S.list [ S.atom name; S.atom (Ddf_graph.Sexp_form.to_string g) ]);
   S.close_list w;
   Buffer.add_char buf '\n';
   drain ()
 
-let save session =
+let save_image img =
   let buf = Buffer.create chunk_bytes in
-  emit session buf ~drain:ignore;
+  emit img buf ~drain:ignore;
   Buffer.contents buf
 
-let output session oc =
+let output_image ?resident_only img oc =
   let buf = Buffer.create chunk_bytes in
-  emit session buf ~drain:(fun () ->
+  emit ?resident_only img buf ~drain:(fun () ->
       Buffer.output_buffer oc buf;
       Buffer.clear buf)
+
+let save session = save_image (image session)
+let output session oc = output_image (image session) oc
 
 let save_file session path =
   let oc = open_out path in
@@ -273,7 +299,21 @@ let load_cursor ?registry schema c =
   let version = S.as_int (header c "version") in
   if version <> format_version then
     persist_errorf "unsupported format version %d" version;
-  let user = S.as_atom (header c "user") in
+  (* the journal's seqno: an optional header that plain saves omit *)
+  S.enter c;
+  let seq, user =
+    match S.next c with
+    | S.Atom "seq" ->
+      let seq = S.as_int (S.next c) in
+      if seq < 0 then persist_errorf "negative seq %d" seq;
+      S.leave c;
+      (Some seq, S.as_atom (header c "user"))
+    | S.Atom "user" ->
+      let user = S.as_atom (S.next c) in
+      S.leave c;
+      (None, user)
+    | _ -> persist_errorf "expected section seq or user"
+  in
   let clock = S.as_int (header c "clock") in
   let ctx = Ddf_exec.Engine.create_context ~user ?registry schema in
   let session = Ddf_session.Session.of_context ctx in
@@ -295,17 +335,40 @@ let load_cursor ?registry schema c =
   load_flows schema session (section_items c);
   S.leave c;
   S.finish c;
-  session
+  (session, seq)
 
-let load ?registry schema text =
-  try load_cursor ?registry schema (S.cursor text) with
+let parsing f =
+  try f () with
   | S.Sexp_error m -> persist_errorf "syntax: %s" m
   | Ddf_graph.Sexp_form.Parse_error m -> persist_errorf "catalog flow: %s" m
   | Ddf_core.Error.Ddf_error e -> persist_errorf "%s" e.Ddf_core.Error.message
 
-let load_file ?registry schema path =
+let load ?registry schema text =
+  fst (parsing (fun () -> load_cursor ?registry schema (S.cursor text)))
+
+let load_file_seq ?registry schema path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let text = really_input_string ic n in
   close_in ic;
-  load ?registry schema text
+  parsing (fun () -> load_cursor ?registry schema (S.cursor text))
+
+let load_file ?registry schema path = fst (load_file_seq ?registry schema path)
+
+(* Only the header: [(ddf_workspace (version V) (seq N) ...] puts the
+   seqno within the first few dozen bytes. *)
+let seq_of_prefix prefix =
+  parsing (fun () ->
+      let c = S.cursor prefix in
+      S.enter c;
+      (match S.next c with
+      | S.Atom "ddf_workspace" -> ()
+      | _ -> persist_errorf "not a ddf workspace file");
+      ignore (header c "version" : S.t);
+      S.enter c;
+      match S.next c with
+      | S.Atom "seq" ->
+        let seq = S.as_int (S.next c) in
+        if not (S.at_close c) then persist_errorf "malformed seq header";
+        Some seq
+      | _ -> None)

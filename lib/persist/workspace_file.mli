@@ -14,6 +14,7 @@
     {v
 (ddf_workspace
  (version 1)
+ (seq N)
  (user U)
  (clock C)
  (instances (IID ENTITY META HASH VALUE) ...)
@@ -22,7 +23,9 @@
  (flows (NAME FLOW-TEXT) ...))
     v}
 
-    [conflicts] is omitted when there are none.  The instances are in
+    [conflicts] is omitted when there are none.  [seq] is the journal
+    seqno the file holds: the journal's snapshots state it, plain
+    saves omit it.  The instances are in
     ascending iid order, dense from the first iid: the writer always
     emits them so, and the loader rejects any other order.  Both
     directions stream one instance at a time, so neither holds the
@@ -32,12 +35,30 @@ exception Persist_error of string
 
 val format_version : int
 
+type image
+(** What a save writes, captured at one instant: one pinned
+    {!Ddf_exec.Engine.view} plus the clock, the user and the flow
+    catalog.  Writing an image reads nothing live, so it may run on
+    another domain while the session keeps committing, and still
+    produces the bytes a quiescent save of that instant would. *)
+
+val image : ?seq:int -> Ddf_session.Session.t -> image
+(** Pin the session.  [seq] adds the [(seq N)] header. *)
+
+val save_image : image -> string
+
+val output_image : ?resident_only:bool -> image -> out_channel -> unit
+(** Write the image to a channel, one instance at a time through a
+    bounded buffer.  [resident_only] (default [false]) refuses, with
+    {!Persist_error}, a payload that only the store's cold loader could
+    supply. *)
+
 val save : Ddf_session.Session.t -> string
-(** The whole file as one string, for callers that need one. *)
+(** [save_image (image session)]: the whole file as one string, for
+    callers that need one. *)
 
 val output : Ddf_session.Session.t -> out_channel -> unit
-(** Write the same bytes as {!save} to a channel, one instance at a
-    time through a bounded buffer. *)
+(** Write the same bytes as {!save} to a channel. *)
 
 val save_file : Ddf_session.Session.t -> string -> unit
 
@@ -52,6 +73,18 @@ val load :
 val load_file :
   ?registry:Ddf_tools.Encapsulation.registry -> Ddf_schema.Schema.t ->
   string -> Ddf_session.Session.t
+
+val load_file_seq :
+  ?registry:Ddf_tools.Encapsulation.registry -> Ddf_schema.Schema.t ->
+  string -> Ddf_session.Session.t * int option
+(** {!load_file}, also returning the file's [seq] header if it has
+    one. *)
+
+val seq_of_prefix : string -> int option
+(** The [seq] header of a file that starts with the given bytes (its
+    first 256 bytes suffice), [None] when it has none.
+    @raise Persist_error when the bytes do not start a workspace
+    file. *)
 
 (** {1 Shared codecs}
 

@@ -237,30 +237,22 @@ module Outbox = struct
     end;
     Mutex.unlock t.ob_m
 
-  (* Enqueue a snapshot to be streamed in chunks.  Call with the
-     writer excluded and [seq = base_seq]: the descriptor opened here
-     pins the inode, so later compactions renaming a fresh snapshot
-     into place cannot disturb what the sender streams. *)
-  let push_snapshot_file t ~seq path =
-    match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-    | exception Unix.Unix_error (e, _, _) ->
-      Mutex.lock t.ob_m;
-      kill_locked t;
+  (* Enqueue a snapshot to be streamed in chunks.  The descriptor pins
+     the inode, so later compactions renaming a fresh snapshot into
+     place cannot disturb what the sender streams. *)
+  let push_snapshot t ~seq fd =
+    Mutex.lock t.ob_m;
+    if t.ob_dead then begin
       Mutex.unlock t.ob_m;
-      replica_errorf "cannot open snapshot %s: %s" path (Unix.error_message e)
-    | fd ->
-      Mutex.lock t.ob_m;
-      if t.ob_dead then begin
-        Mutex.unlock t.ob_m;
-        try Unix.close fd with Unix.Unix_error _ -> ()
-      end
-      else begin
-        t.ob_sent <- max t.ob_sent seq;
-        t.ob_acked <- max t.ob_acked seq;
-        Queue.push (Stream_snapshot { sf_seq = seq; sf_fd = fd }, None) t.ob_q;
-        Condition.signal t.ob_c;
-        Mutex.unlock t.ob_m
-      end
+      try Unix.close fd with Unix.Unix_error _ -> ()
+    end
+    else begin
+      t.ob_sent <- max t.ob_sent seq;
+      t.ob_acked <- max t.ob_acked seq;
+      Queue.push (Stream_snapshot { sf_seq = seq; sf_fd = fd }, None) t.ob_q;
+      Condition.signal t.ob_c;
+      Mutex.unlock t.ob_m
+    end
 
   let note_ack t seq =
     Mutex.lock t.ob_m;

@@ -77,13 +77,12 @@ module Outbox : sig
       the frame header so the follower's apply span joins the
       producing write's trace. *)
 
-  val push_snapshot_file : t -> seq:int -> string -> unit
-  (** Enqueue the snapshot file at this path to be streamed as
-      begin/chunk/end frames ({!Ddf_wire.Wire.send_snapshot}).  The descriptor is
-      opened here — call with the writer excluded and [seq] equal to
-      the journal's base, so the pinned bytes are exactly the state at
-      [seq].  Kills the outbox when the file cannot be opened.
-      @raise Replica_error in that open-failure case. *)
+  val push_snapshot : t -> seq:int -> Unix.file_descr -> unit
+  (** Enqueue an open snapshot file, holding the state at [seq], to be
+      streamed as begin/chunk/end frames
+      ({!Ddf_wire.Wire.send_snapshot}); the sender closes it.  Open it
+      with the writer excluded (see {!Ddf_journal.Journal.pin_snapshot})
+      so that [seq] and the pinned bytes agree. *)
 
   val note_ack : t -> int -> unit
   val sent : t -> int    (** highest seqno enqueued *)

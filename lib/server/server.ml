@@ -791,8 +791,8 @@ let remove_conn t conn_id =
 
 (* [Snapshot_export]: compact, then stream the on-disk
    snapshot back as begin/chunk/end frames.  The compaction and the
-   descriptor open run as one writer job, so the pinned descriptor is
-   exactly the state at the captured seqno; the streaming itself runs
+   descriptor open run as one writer job, and the seqno sent is the
+   one the pinned file's header names; the streaming itself runs
    on the connection thread, outside the writer — a slow reader never
    blocks writes.  A later compaction renames a fresh snapshot into
    place but cannot disturb the pinned inode. *)
@@ -801,11 +801,7 @@ let snapshot_export_stream t fd ~user =
   let resp =
     submit t ~user (fun () ->
         Journal.compact t.journal;
-        let seq = Journal.base_seq t.journal in
-        let sfd =
-          Unix.openfile (Journal.snapshot_file t.journal) [ Unix.O_RDONLY ] 0
-        in
-        pinned := Some (seq, sfd);
+        pinned := Some (Journal.pin_snapshot t.journal);
         Wire.Ok_unit)
   in
   match (resp, !pinned) with
@@ -883,14 +879,13 @@ and replication_loop t fd ~user since =
         (match Journal.entries_since t.journal since with
         | Journal.Snapshot_needed ->
           (* the journal was compacted past [since]: reseed with the
-             on-disk snapshot (state at base_seq) streamed in chunks —
-             the descriptor pinned here, under the writer — plus the
-             wal tail above it; neither side ever holds the state as
-             one string. *)
-          let base = Journal.base_seq t.journal in
-          Replica.Outbox.push_snapshot_file outbox ~seq:base
-            (Journal.snapshot_file t.journal);
-          (match Journal.entries_since t.journal base with
+             on-disk snapshot streamed in chunks — the descriptor and
+             the seqno its header names pinned here, under the writer
+             — plus the log tail above it; neither side ever holds the
+             state as one string. *)
+          let seq, sfd = Journal.pin_snapshot t.journal in
+          Replica.Outbox.push_snapshot outbox ~seq sfd;
+          (match Journal.entries_since t.journal seq with
           | Journal.Frames frames -> push_frames frames
           | Journal.Snapshot_needed -> assert false)
         | Journal.Frames frames -> push_frames frames);

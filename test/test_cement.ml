@@ -1,8 +1,8 @@
 (* Tiered cold storage and streaming bootstrap: cement segment
    round-trips and torn-tail recovery, the journal's watermark
    behaviour (typed [entries_since] boundary, cold frame reads,
-   payload eviction with reload-from-cement), the compaction
-   crash-window repair behind the [journal.dir_fsync] fault point, and
+   payload eviction with reload-from-cement), recovery from a crash
+   after the snapshot rename (the [journal.dir_fsync] fault point), and
    the streamed snapshot paths (late-follower bootstrap, client
    export). *)
 
@@ -157,7 +157,7 @@ let journal =
               (Store.payload_resident store iid))
           cold;
         Journal.close j);
-    Alcotest.test_case "a crash between base write and wal truncation repairs"
+    Alcotest.test_case "a crash after the snapshot rename keeps the seqno line"
       `Quick (fun () ->
         with_dir @@ fun dir ->
         Fun.protect ~finally:Fault.reset @@ fun () ->
@@ -167,24 +167,29 @@ let journal =
         Journal.sync j;
         let seq0 = Journal.seq j in
         let reference = Test_journal.state ctx in
-        (* die exactly between the snapshot/base renames and the wal
-           truncation: the cement fold and both renames are on disk,
-           the redundant wal is still in place *)
-        Fault.arm "journal.dir_fsync" Fault.Fail;
+        (* die exactly between the snapshot rename and the segment
+           deletion: the cement fold, the rotation and the rename are
+           on disk, the covered segment is still in place (the first
+           directory fsync is the rotation's) *)
+        Fault.arm ~after:1 "journal.dir_fsync" Fault.Fail;
         (match Journal.compact j with
         | () -> Alcotest.fail "expected the injected crash"
         | exception Fault.Injected _ -> ());
         Alcotest.(check int) "fired once" 1 (Fault.fired "journal.dir_fsync");
         Journal.close j;
         (* recovery must not double-count the leftover frames into the
-           seqno line (seq = 2 * base) — replay proves the wal redundant
-           and the cement watermark sits at the base, so the interrupted
-           truncation completes *)
+           seqno line (seq = 2 * base): the snapshot names the seqno it
+           holds, so replay skips the covered segment and deletes it *)
         let j2 = Journal.open_ ~dir Standard_schemas.odyssey in
         Alcotest.(check int) "seqno line repaired" seq0 (Journal.seq j2);
         Alcotest.(check int) "base at the crash point" seq0
           (Journal.base_seq j2);
         Alcotest.(check int) "wal emptied" 0 (Journal.entries_since_snapshot j2);
+        Alcotest.(check bool) "covered segment deleted" false
+          (Array.exists
+             (fun f -> f <> "wal.ddf" && Filename.check_suffix f ".ddf"
+                       && String.length f > 4 && String.sub f 0 4 = "wal.")
+             (Sys.readdir dir));
         Alcotest.(check string) "state survived" reference
           (Test_journal.state (Journal.context j2));
         (* and the repaired journal keeps journaling on the same line *)

@@ -132,6 +132,127 @@ let journal_faults =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Background compaction crash points                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A crash image of a database directory: its files as they are now,
+   which is what a power cut leaves once every write reached the OS.
+   A file that vanishes mid-copy (a tmp being removed) is left out,
+   like a crash a moment later. *)
+let rec copy_tree src dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun name ->
+      let s = Filename.concat src name and d = Filename.concat dst name in
+      match Sys.is_directory s with
+      | true -> copy_tree s d
+      | false -> ( try Util.copy_file s d with Sys_error _ -> ())
+      | exception Sys_error _ -> ())
+    (Sys.readdir src)
+
+(* Level a follower with its primary, as its replication loop does. *)
+let rec catch_up p f =
+  match Journal.entries_since p (Journal.seq f) with
+  | Journal.Frames [] -> ()
+  | Journal.Frames frames ->
+    List.iter (fun (seq, payload) -> Journal.apply f ~seq payload) frames;
+    catch_up p f
+  | Journal.Snapshot_needed -> Alcotest.fail "the follower fell behind the base"
+
+(* Each step of a compaction, and what the sweep does there: [Fail]
+   kills that step (the writer's own steps fail-stop the journal),
+   [Delay] holds the second domain in it while the writer goes on
+   appending and syncing.  [after] skips that many earlier hits — the
+   first directory fsync is the rotation's, the second the install's. *)
+let crash_steps =
+  [ ("segment rotation", "journal.rotate", Fault.Fail, 0);
+    ("rotation directory fsync", "journal.dir_fsync", Fault.Fail, 0);
+    ("snapshot tmp write held", "journal.snapshot_write", Fault.Delay 0.5, 0);
+    ("snapshot tmp write fails", "journal.snapshot_write", Fault.Fail, 0);
+    ("snapshot rename held", "journal.snapshot_rename", Fault.Delay 0.5, 0);
+    ("install directory fsync held", "journal.dir_fsync", Fault.Delay 0.5, 1);
+    ("install directory fsync fails", "journal.dir_fsync", Fault.Fail, 1);
+    ("segment deletion", "journal.segment_delete", Fault.Fail, 0) ]
+
+(* Poll [cond] for up to 10 s. *)
+let wait_for what cond =
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while not (cond ()) do
+    if Unix.gettimeofday () > give_up then Alcotest.failf "timed out: %s" what;
+    Thread.delay 0.001
+  done
+
+let crash_at ~cement (what, point, action, after) =
+  with_faults @@ fun () ->
+  Test_journal.with_dir @@ fun root ->
+  Unix.mkdir root 0o755;
+  let open_ name =
+    Journal.open_ ~cement ~compact_every:6 ~dir:(Filename.concat root name)
+      Standard_schemas.odyssey
+  in
+  let p = open_ "p" and f = open_ "f" in
+  let n = ref 0 in
+  let write k =
+    for _ = 1 to k do
+      incr n;
+      ignore
+        (Engine.install (Journal.context p) ~entity:E.stimuli
+           ~label:(Printf.sprintf "e%d" !n) stim_value)
+    done;
+    Journal.sync p;
+    catch_up p f
+  in
+  write 8;
+  let pinned = Journal.seq p in
+  Fault.arm ~after point action;
+  ignore (Journal.maybe_compact p : bool);
+  (match action with
+  | Fault.Delay _ -> wait_for what (fun () -> Fault.fired point > 0)
+  | Fault.Fail | Fault.Torn _ -> ());
+  if point = "journal.segment_delete" then begin
+    (* the deletion runs when the writer settles the finished write *)
+    let installed () =
+      let seq, fd = Journal.pin_snapshot p in
+      Unix.close fd;
+      seq = pinned
+    in
+    wait_for what (fun () ->
+        Sys.file_exists (Journal.snapshot_file p) && installed ());
+    Thread.delay 0.01;
+    ignore (Journal.maybe_compact p : bool);
+    Alcotest.(check int) (what ^ ": fired") 1 (Fault.fired point)
+  end;
+  (* writes acknowledged while the step is in flight, or after it
+     failed, unless it fail-stopped the journal *)
+  if Journal.failed p = None then write 3;
+  let synced = Journal.seq p in
+  copy_tree (Filename.concat root "p") (Filename.concat root "image");
+  let r = open_ "image" in
+  let label = Printf.sprintf "%s (cement %b)" what cement in
+  Alcotest.(check int) (label ^ ": exact seq") synced (Journal.seq r);
+  Alcotest.(check int) (label ^ ": follower seq") synced (Journal.seq f);
+  Alcotest.(check string) (label ^ ": fingerprint")
+    (Sync.fingerprint (Journal.context f))
+    (Sync.fingerprint (Journal.context r));
+  Alcotest.(check (list int)) (label ^ ": segment seqnos")
+    (List.init (synced - Journal.base_seq r) (fun i -> Journal.base_seq r + i + 1))
+    (List.map fst (Journal.digest r));
+  (* the reopened image journals on the same seqno line *)
+  ignore (Engine.install (Journal.context r) ~entity:E.stimuli ~label:"next" stim_value);
+  (match Journal.entries_since r synced with
+  | Journal.Frames [ (s, _) ] -> Alcotest.(check int) (label ^ ": next") (synced + 1) s
+  | _ -> Alcotest.failf "%s: expected one entry past %d" label synced);
+  Journal.close r;
+  Journal.close p;
+  Journal.close f
+
+let compaction_crashes =
+  [ Alcotest.test_case "every compaction step is crash-safe" `Quick (fun () ->
+        List.iter
+          (fun cement -> List.iter (crash_at ~cement) crash_steps)
+          [ true; false ]) ]
+
+(* ------------------------------------------------------------------ *)
 (* Server overload and deadlines                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -501,6 +622,7 @@ let suite =
   [
     ("fault.grammar", grammar);
     ("fault.journal", journal_faults);
+    ("fault.compaction", compaction_crashes);
     ("fault.shedding", shedding);
     ("fault.classification", classification);
     ("fault.lifecycle", lifecycle);

@@ -285,4 +285,127 @@ let compaction =
         Journal.close j2);
   ]
 
-let suite = [ ("journal", basics @ torn_tail @ compaction) ]
+let stim = Value.Stimuli (Eda.Stimuli.exhaustive [ "a" ])
+
+let install ctx label = ignore (Engine.install ctx ~entity:E.stimuli ~label stim)
+
+let seqnos j since =
+  match Journal.entries_since j since with
+  | Journal.Frames fs -> List.map fst fs
+  | Journal.Snapshot_needed -> Alcotest.fail "unexpected snapshot resync"
+
+let background =
+  [
+    Alcotest.test_case
+      "a crash mid-compaction without cement reopens at the exact seqno"
+      `Quick (fun () ->
+        (* the first directory fsync is the rotation's, the second the
+           snapshot install's: die at each *)
+        List.iter
+          (fun after ->
+            Fun.protect ~finally:Fault.reset @@ fun () ->
+            with_dir @@ fun dir ->
+            let j =
+              Journal.open_ ~cement:false ~dir Standard_schemas.odyssey
+            in
+            for i = 1 to 5 do
+              install (Journal.context j) (Printf.sprintf "s%d" i)
+            done;
+            Journal.sync j;
+            Fault.arm ~after "journal.dir_fsync" Fault.Fail;
+            (match Journal.compact j with
+            | () -> Alcotest.fail "expected the injected crash"
+            | exception Fault.Injected _ -> ());
+            Journal.close j;
+            let j = Journal.open_ ~cement:false ~dir Standard_schemas.odyssey in
+            Alcotest.(check int) "seq after reopen" 5 (Journal.seq j);
+            Alcotest.(check int) "base after reopen"
+              (if after = 0 then 0 else 5)
+              (Journal.base_seq j);
+            install (Journal.context j) "s6";
+            Alcotest.(check (list int)) "the next entry is numbered 6" [ 6 ]
+              (seqnos j 5);
+            Journal.close j;
+            let j = Journal.open_ ~cement:false ~dir Standard_schemas.odyssey in
+            Alcotest.(check int) "seq after a second reopen" 6 (Journal.seq j);
+            Journal.close j)
+          [ 0; 1 ]);
+    Alcotest.test_case "a compaction with nothing new leaves the snapshot alone"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        ignore (activity (Journal.context j) 2);
+        Journal.compact j;
+        let path = Journal.snapshot_file j in
+        let st = Unix.stat path in
+        let compactions () =
+          Metrics.count (Metrics.counter "journal.compactions")
+        in
+        let n = compactions () in
+        Journal.compact j;
+        Journal.compact j;
+        let st' = Unix.stat path in
+        Alcotest.(check int) "same inode" st.Unix.st_ino st'.Unix.st_ino;
+        Alcotest.(check (float 0.)) "same mtime" st.Unix.st_mtime
+          st'.Unix.st_mtime;
+        Alcotest.(check int) "no compaction ran" n (compactions ());
+        (* the file a snapshot export streams names the current seqno *)
+        let seq, fd = Journal.pin_snapshot j in
+        Unix.close fd;
+        Alcotest.(check int) "snapshot seqno" (Journal.seq j) seq;
+        (* a write makes the next compaction real again *)
+        install (Journal.context j) "more";
+        Journal.compact j;
+        Alcotest.(check int) "one more compaction" (n + 1) (compactions ());
+        Alcotest.(check bool) "a new snapshot" true
+          ((Unix.stat path).Unix.st_ino <> st.Unix.st_ino);
+        Journal.close j);
+    Alcotest.test_case "the writer is not blocked by a background snapshot"
+      `Quick (fun () ->
+        Fun.protect ~finally:Fault.reset @@ fun () ->
+        with_dir @@ fun dir ->
+        let j =
+          Journal.open_ ~compact_every:5 ~dir Standard_schemas.odyssey
+        in
+        let ctx = Journal.context j in
+        ignore (activity ctx 3);
+        Journal.sync j;
+        let pinned = Journal.seq j in
+        (* hold the second domain inside its snapshot write; the clock
+           runs from the trigger, so a compaction that held the caller
+           for the delay would fail the bound below *)
+        Fault.arm "journal.snapshot_write" (Fault.Delay 1.0);
+        let t0 = Unix.gettimeofday () in
+        Alcotest.(check bool) "started" true (Journal.maybe_compact j);
+        while
+          Fault.fired "journal.snapshot_write" = 0
+          && Unix.gettimeofday () -. t0 < 5.0
+        do
+          Thread.delay 0.001
+        done;
+        Alcotest.(check int) "the snapshot write is held" 1
+          (Fault.fired "journal.snapshot_write");
+        for i = 1 to 20 do
+          install ctx (Printf.sprintf "w%d" i);
+          Journal.sync j
+        done;
+        let dt = Unix.gettimeofday () -. t0 in
+        if dt > 0.5 then Alcotest.failf "20 synced installs took %.3fs" dt;
+        let deferred () =
+          Metrics.count (Metrics.counter "journal.compactions_deferred")
+        in
+        let d0 = deferred () in
+        Alcotest.(check bool) "one at a time" false (Journal.maybe_compact j);
+        Alcotest.(check int) "deferral counted" (d0 + 1) (deferred ());
+        let final = state ctx and seq = Journal.seq j in
+        Journal.close j;
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        Alcotest.(check int) "snapshot at the pinned seqno" pinned
+          (Journal.base_seq j);
+        Alcotest.(check int) "every entry replays" seq (Journal.seq j);
+        Alcotest.(check string) "replayed state" final
+          (state (Journal.context j));
+        Journal.close j);
+  ]
+
+let suite = [ ("journal", basics @ torn_tail @ compaction @ background) ]

@@ -464,6 +464,38 @@ let oracle_cases =
       (fun seed ->
         let text = Persist.save (random_session seed) in
         Persist.save (Persist.load Standard_schemas.odyssey text) = text);
+    (* The snapshot writer's contract: an image pinned before another
+       domain starts committing still writes exactly the quiescent
+       save of the pinned instant. *)
+    Util.qcheck ~count:10 "a pinned save ignores concurrent commits"
+      session_seed (fun seed ->
+        let session = random_session seed in
+        let quiescent = Persist.save session in
+        let img = Persist.image session in
+        let ctx = Session.context session in
+        let finished = Atomic.make false in
+        let committer =
+          Domain.spawn (fun () ->
+              let w = Workspace.of_session (Session.of_context ctx) in
+              for i = 1 to 60 do
+                ignore
+                  (Workspace.install_netlist w
+                     (Eda.Circuits.random ~n_inputs:3 ~n_gates:6
+                        (Eda.Rng.create (seed + i)))
+                    : Store.iid);
+                Store.annotate ctx.Engine.store 1
+                  ~label:(Printf.sprintf "l%d" i) ()
+              done;
+              Atomic.set finished true)
+        in
+        (* save the image over and over for as long as the commits run *)
+        let rec saves ok =
+          let ok = ok && Persist.save_image img = quiescent in
+          if Atomic.get finished then ok else saves ok
+        in
+        let ok = saves true in
+        Domain.join committer;
+        ok && Persist.save session <> quiescent);
     t "a channel save writes the same bytes as save" (fun () ->
         (* enough instances that the bounded buffer drains mid-save *)
         let w, _, _ = rich_session () in

@@ -313,17 +313,26 @@ let journal_props =
     (* Group commit's contract: every write acknowledged by [sync]
        survives a crash that loses any suffix of the wal written after
        the durability point, and cutting exactly at the point replays
-       to exactly the acked state. *)
+       to exactly the acked state — with background compactions
+       started, settled and waited for among the acked writes, and one
+       possibly still writing its snapshot during the unacked ones. *)
     Util.qcheck ~count:10 "group_commit_replay_equiv" journal_pair_gen
       (fun (seed, steps) ->
         Test_journal.with_dir @@ fun dir ->
         let wal = Filename.concat dir "wal.ddf" in
         let j =
-          Journal.open_ ~sync_mode:Journal.Group ~dir Standard_schemas.odyssey
+          Journal.open_ ~sync_mode:Journal.Group ~compact_every:4 ~dir
+            Standard_schemas.odyssey
         in
         let ctx = Journal.context j in
         let rng = Eda.Rng.create seed in
-        ignore (Test_journal.activity ~seed ctx (1 + (steps mod 4)));
+        for i = 0 to steps mod 4 do
+          ignore (Test_journal.activity ~seed:(seed + (10 * i)) ctx 1);
+          match Eda.Rng.int rng 3 with
+          | 0 -> Journal.compact j
+          | 1 -> ignore (Journal.maybe_compact j : bool)
+          | _ -> ()
+        done;
         Journal.sync j;
         let acked_state = Test_journal.state ctx in
         let acked_tick = Store.tick ctx.Engine.store in
