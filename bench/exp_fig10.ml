@@ -14,34 +14,39 @@ let run () =
 
   Bench_util.section "history browsing, regenerated";
   let w, v0, latest = Workloads.edit_history 4 in
+  let v = Engine.pin (Workspace.ctx w) in
   let g, _root, binding =
-    History.trace (Workspace.history w) (Workspace.store w) (Workspace.schema w)
-      latest
+    History.Snapshot.trace v.Engine.v_history v.Engine.v_store
+      (Workspace.schema w) latest
   in
   Printf.printf "derivation of the newest version (%d instances):\n%s"
     (List.length binding) (Task_graph.to_ascii g);
   Printf.printf "forward chaining from the original: %d derived instances\n"
-    (List.length (History.derived_instances (Workspace.history w) v0));
+    (List.length (History.Snapshot.derived_instances v.Engine.v_history v0));
 
   Bench_util.section "chaining latency vs history depth";
   let rows =
     List.map
       (fun depth ->
         let w, v0, latest = Workloads.edit_history depth in
-        let h = Workspace.history w in
+        let v = Engine.pin (Workspace.ctx w) in
+        let h = v.Engine.v_history in
         let back =
-          Bench_util.time_us ~runs:7 (fun () -> History.backward_closure h latest)
+          Bench_util.time_us ~runs:7 (fun () ->
+              History.Snapshot.backward_closure h latest)
         in
         let fwd =
-          Bench_util.time_us ~runs:7 (fun () -> History.forward_closure h v0)
+          Bench_util.time_us ~runs:7 (fun () ->
+              History.Snapshot.forward_closure h v0)
         in
         let trace =
           Bench_util.time_us ~runs:7 (fun () ->
-              History.trace h (Workspace.store w) (Workspace.schema w) latest)
+              History.Snapshot.trace h v.Engine.v_store (Workspace.schema w)
+                latest)
         in
         [
           string_of_int depth;
-          string_of_int (History.size h);
+          string_of_int (History.Snapshot.size h);
           Printf.sprintf "%.1f" back;
           Printf.sprintf "%.1f" fwd;
           Printf.sprintf "%.1f" trace;
@@ -57,16 +62,18 @@ let run () =
   let schema = Workspace.schema w in
   let g, out = Task_graph.create schema E.edited_netlist in
   let g, _ = Task_graph.expand g out in
+  let v16 = Engine.pin (Workspace.ctx w) in
   let results =
-    History.query_template (Workspace.history w) (Workspace.store w) g ~bound:[]
+    History.Snapshot.query_template v16.Engine.v_history v16.Engine.v_store g
+      ~bound:[]
   in
   Printf.printf "editing-task template matches %d derivations\n"
     (List.length results);
 
-  let h16 = Workspace.history w in
   Bench_util.run_bechamel ~name:"fig10"
     [
       Test.make ~name:"template query over 16 edits"
         (Staged.stage (fun () ->
-             History.query_template h16 (Workspace.store w) g ~bound:[]));
+             History.Snapshot.query_template v16.Engine.v_history
+               v16.Engine.v_store g ~bound:[]));
     ]

@@ -35,8 +35,8 @@ let run () =
      it also shows the tools used to create each version";
 
   let w, c1, versions = fig11_scenario () in
-  let h = Workspace.history w and st = Workspace.store w in
-  let schema = Workspace.schema w in
+  let v = Engine.pin (Workspace.ctx w) in
+  let h = v.Engine.v_history and st = v.Engine.v_store in
 
   Bench_util.section "(a) the dedicated version tree";
   let vt = B.Version_tree.create () in
@@ -45,27 +45,27 @@ let run () =
     let v =
       B.Version_tree.check_in vt
         ?parent:(Option.map (Hashtbl.find vids) parent)
-        ~payload_hash:(Store.hash_of st iid)
-        ~author:(Store.meta_of st iid).Store.user
-        ~at:(Store.meta_of st iid).Store.created_at ()
+        ~payload_hash:(Store.Snapshot.hash_of st iid)
+        ~author:(Store.Snapshot.meta_of st iid).Store.user
+        ~at:(Store.Snapshot.meta_of st iid).Store.created_at ()
     in
     Hashtbl.add vids iid v
   in
   check_in None c1;
   List.iter
-    (fun v -> check_in (History.version_parent h st schema v) v)
+    (fun v -> check_in (History.Snapshot.version_parent h v) v)
     versions;
   Format.printf "%a@." B.Version_tree.pp vt;
 
   Bench_util.section "(b) the flow trace, reconstructed from history";
-  let tree = History.version_tree h st schema c1 in
+  let tree = History.Snapshot.version_tree h c1 in
   let rec render indent t =
-    let m = Store.meta_of st t.History.v_iid in
+    let m = Store.Snapshot.meta_of st t.History.v_iid in
     let tool =
-      match History.derivation_of h t.History.v_iid with
+      match History.Snapshot.derivation_of h t.History.v_iid with
       | Some r -> (
         match r.History.tool with
-        | Some tool_iid -> (Store.meta_of st tool_iid).Store.label
+        | Some tool_iid -> (Store.Snapshot.meta_of st tool_iid).Store.label
         | None -> "(composed)")
       | None -> "(installed)"
     in
@@ -95,7 +95,7 @@ let run () =
         acc + 8 (* task *) + 8 (* tool *) + 8 (* at *)
         + (16 * List.length r.History.inputs)
         + (16 * List.length r.History.outputs))
-      0 (History.records h)
+      0 (History.Snapshot.records h)
   in
   Bench_util.print_table
     [ "scheme"; "tree size"; "same shape"; "metadata bytes"; "knows the tool?" ]
@@ -113,4 +113,6 @@ let run () =
   Printf.printf
     "\nno separate version store was needed: versioning fell out of the\n\
      derivation history (records: %d, store instances: %d, shared payloads: %d)\n"
-    (History.size h) (Store.instance_count st) (Store.physical_count st)
+    (History.Snapshot.size h)
+    (Store.Snapshot.instance_count st)
+    (Store.Snapshot.physical_count st)

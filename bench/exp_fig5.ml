@@ -66,9 +66,10 @@ let run () =
   Format.printf "first run : %a@." Engine.pp_stats run.Engine.stats;
   let run2 = Engine.execute (Workspace.ctx w) f.Standard_flows.f5_graph ~bindings in
   Format.printf "second run: %a@." Engine.pp_stats run2.Engine.stats;
+  let snap = Store.snapshot (Workspace.store w) in
   Printf.printf "store: %d instances over %d physical objects\n"
-    (Store.instance_count (Workspace.store w))
-    (Store.physical_count (Workspace.store w));
+    (Store.Snapshot.instance_count snap)
+    (Store.Snapshot.physical_count snap);
 
   Bench_util.section "latency";
   Bench_util.run_bechamel ~name:"fig5"

@@ -43,13 +43,13 @@ let run () =
     List.concat_map
       (fun n ->
         let w = Workloads.populated_store n in
-        let store = Workspace.store w in
+        let store = Store.snapshot (Workspace.store w) in
         let run_filter name filter =
           let us =
-            Bench_util.time_us ~runs:7 (fun () -> Store.browse store filter)
+            Bench_util.time_us ~runs:7 (fun () -> Store.Snapshot.browse store filter)
           in
           [ string_of_int n; name;
-            string_of_int (List.length (Store.browse store filter));
+            string_of_int (List.length (Store.Snapshot.browse store filter));
             Printf.sprintf "%.1f" us ]
         in
         [

@@ -23,7 +23,7 @@ let experiments =
     ("A", "ablations A1-A4", Exp_ablations.run);
     ("S", "design server: wire throughput and latency", Exp_server.run);
     ("R", "replication: read scaling and apply lag", Exp_replica.run);
-    ("P", "hot paths: group commit, pipelined batches, indexed queries",
+    ("P", "hot paths: group commit, pipelined batches, version queries",
      Exp_perf.run);
     ("O", "overload: load shedding keeps the latency tail bounded",
      Exp_overload.run);

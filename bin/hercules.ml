@@ -329,12 +329,12 @@ let run_cmd =
         print_endline "(--vcd skipped: sequential circuit)"
       | None -> ());
       print_endline "\nderivation history:";
+      let v = Engine.pin ctx in
       let g, _, _ =
-        History.trace (Workspace.history w) (Workspace.store w)
+        History.Snapshot.trace v.Engine.v_history v.Engine.v_store
           (Workspace.schema w) iid
       in
-      print_string (Task_graph.to_ascii g);
-      ignore ctx
+      print_string (Task_graph.to_ascii g)
   in
   Cmd.v
     (Cmd.info "run"
@@ -383,13 +383,14 @@ let browse_cmd =
       { Store.f_entities = None; f_user = user; f_from = from_; f_to = to_;
         f_keywords = keyword; f_text = text }
     in
+    let snap = Store.snapshot (Workspace.store w) in
     List.iter
       (fun iid ->
-        let m = Store.meta_of (Workspace.store w) iid in
+        let m = Store.Snapshot.meta_of snap iid in
         Printf.printf "#%-4d %-20s %-10s @%-4d [%s]\n" iid m.Store.label
           m.Store.user m.Store.created_at
           (String.concat "," m.Store.keywords))
-      (Store.browse (Workspace.store w) filter)
+      (Store.Snapshot.browse snap filter)
   in
   Cmd.v
     (Cmd.info "browse"
@@ -417,33 +418,30 @@ let history_cmd =
       exit 2
     | Some _ ->
       with_workspace ws_file @@ fun w ->
-      let ctx = Workspace.ctx w in
-      (match instance with
+      let v = Engine.pin (Workspace.ctx w) in
+      let store = v.Engine.v_store and history = v.Engine.v_history in
+      match instance with
       | None ->
         (* list everything with a derivation state *)
         List.iter
           (fun iid ->
-            let m = Store.meta_of (Workspace.store w) iid in
-            let derived =
-              History.derivation_of (Workspace.history w) iid <> None
-            in
+            let m = Store.Snapshot.meta_of store iid in
+            let derived = History.Snapshot.derivation_of history iid <> None in
             Printf.printf "#%-4d %-22s %-40s %s\n" iid
-              (Store.entity_of (Workspace.store w) iid)
+              (Store.Snapshot.entity_of store iid)
               m.Store.label
               (if derived then "(derived)" else "(source)"))
-          (Store.all_instances (Workspace.store w))
+          (Store.Snapshot.all_instances store)
       | Some iid when forward ->
-        let derived = History.derived_instances (Workspace.history w) iid in
+        let derived = History.Snapshot.derived_instances history iid in
         Printf.printf "instances derived from #%d: %s\n" iid
           (String.concat ", " (List.map (fun i -> "#" ^ string_of_int i) derived))
       | Some iid ->
         let g, _, binding =
-          History.trace (Workspace.history w) (Workspace.store w)
-            (Workspace.schema w) iid
+          History.Snapshot.trace history store (Workspace.schema w) iid
         in
         print_string (Task_graph.to_ascii g);
-        Printf.printf "(%d instances in the derivation)\n" (List.length binding));
-      ignore ctx
+        Printf.printf "(%d instances in the derivation)\n" (List.length binding)
   in
   Cmd.v
     (Cmd.info "history"
@@ -486,7 +484,8 @@ let query_cmd =
           exit 1
       in
       let results =
-        History.query_template (Workspace.history w) (Workspace.store w) g
+        let v = Engine.pin (Workspace.ctx w) in
+        History.Snapshot.query_template v.Engine.v_history v.Engine.v_store g
           ~bound:binds
       in
       Printf.printf "%d binding(s):\n" (List.length results);
@@ -589,9 +588,9 @@ let annotate_cmd =
        with Ddf.Error.Ddf_error err ->
          Printf.eprintf "%s\n" (Error.message err);
          exit 1);
-      let m = Store.meta_of (Workspace.store w) instance in
-      Printf.printf "#%d %s %S [%s]\n" instance
-        (Store.entity_of (Workspace.store w) instance)
+      let inst = Store.Snapshot.find (Store.snapshot (Workspace.store w)) instance in
+      let m = inst.Store.meta in
+      Printf.printf "#%d %s %S [%s]\n" instance inst.Store.entity
         m.Store.label
         (String.concat "," m.Store.keywords)
   in
@@ -780,8 +779,8 @@ let serve_cmd =
       let ctx = Journal.context j in
       Printf.printf
         "%s: %d instance(s), %d history record(s), clock %d%s\n" db
-        (Store.instance_count ctx.Engine.store)
-        (History.size ctx.Engine.history)
+        (Store.Snapshot.instance_count (Store.snapshot ctx.Engine.store))
+        (History.Snapshot.size (History.snapshot ctx.Engine.history))
         ctx.Engine.clock
         (let torn = Journal.truncated_on_open j in
          if torn > 0 then Printf.sprintf " (%d byte(s) of torn tail dropped)" torn

@@ -38,7 +38,7 @@ let () =
     (Workspace.payload w sim_iid);
   Format.printf "its own derivation: %a@."
     (Fmt.option History.pp_record)
-    (History.derivation_of (Workspace.history w) sim_iid);
+    History.(Snapshot.derivation_of (snapshot (Workspace.history w)) sim_iid);
 
   (* reuse the SAME compiled simulator on other stimuli: only the run
      task executes, the compile is found in the history *)

@@ -125,7 +125,8 @@ module Workspace = struct
       List.map
         (fun entity ->
           match
-            Ddf_store.Store.instances_of_entity ctx.Engine.store entity
+            Ddf_store.Store.(
+              Snapshot.instances_of_entity (snapshot ctx.Engine.store) entity)
           with
           | iid :: _ -> (entity, iid)
           | [] -> (entity, Engine.install_tool ctx entity))
@@ -179,7 +180,8 @@ module Workspace = struct
 
   let default_device_models w =
     match
-      Ddf_store.Store.instances_of_entity (store w) E.device_models
+      Ddf_store.Store.(
+        Snapshot.instances_of_entity (snapshot (store w)) E.device_models)
     with
     | iid :: _ -> iid
     | [] -> raise (Workspace_error "no device models installed")
@@ -207,7 +209,8 @@ module Workspace = struct
         if n.Task_graph.entity = entity then Some n.Task_graph.nid else None)
       (Task_graph.nodes flow)
 
-  let payload w iid = Ddf_store.Store.payload (store w) iid
+  let payload w iid =
+    Ddf_store.Store.(Snapshot.payload (snapshot (store w)) iid)
 
   let netlist_of w iid = Ddf_data.as_netlist (payload w iid)
   let layout_of w iid = Ddf_data.as_layout (payload w iid)

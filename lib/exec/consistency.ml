@@ -15,12 +15,6 @@ let m_refreshes = Metrics.counter "consistency.refreshes"
 let m_reran = Metrics.counter "consistency.reran"
 let m_reused = Metrics.counter "consistency.reused"
 
-(* The latest version of an instance: the newest leaf of its version
-   tree (by creation time, ties to the higher iid). *)
-let latest_version (ctx : Engine.context) iid =
-  History.latest_version ctx.Engine.history ctx.Engine.store ctx.Engine.schema
-    iid
-
 type refresh_report = {
   fresh_instance : Store.iid;   (* up-to-date equivalent of the input *)
   reran : int;                  (* invocations recomputed *)
@@ -40,8 +34,10 @@ let refresh (ctx : Engine.context) iid =
     ~attrs:[ ("instance", Obs.Int iid) ]
     "consistency.refresh"
   @@ fun () ->
+  let view = Engine.pin ctx in
+  let hist = view.Engine.v_history in
   let g, root, binding =
-    History.trace ctx.Engine.history ctx.Engine.store ctx.Engine.schema iid
+    History.Snapshot.trace hist view.Engine.v_store ctx.Engine.schema iid
   in
   (* prune: an interior node superseded by a newer version becomes a
      leaf to be re-bound, discarding the stale sub-derivation below it *)
@@ -50,7 +46,7 @@ let refresh (ctx : Engine.context) iid =
       (fun g (nid, inst) ->
         if nid = root || not (Ddf_graph.Task_graph.mem g nid) then g
         else if
-          latest_version ctx inst <> inst
+          History.Snapshot.latest_version hist inst <> inst
           && Ddf_graph.Task_graph.out_edges g nid <> []
         then Ddf_graph.Task_graph.unexpand g nid
         else g)
@@ -64,7 +60,7 @@ let refresh (ctx : Engine.context) iid =
           Ddf_graph.Task_graph.mem g nid
           && Ddf_graph.Task_graph.out_edges g nid = []
         then begin
-          let latest = latest_version ctx source_iid in
+          let latest = History.Snapshot.latest_version hist source_iid in
           if latest <> source_iid then
             rebound := (source_iid, latest) :: !rebound;
           Some (nid, latest)
@@ -93,8 +89,9 @@ type extraction_status =
   | Out_of_date of Store.iid * (string * Store.iid * Store.iid list) list
 
 let derived_status (ctx : Engine.context) ~source ~goal_entity =
+  let hist = History.snapshot ctx.Engine.history in
   let derived =
-    History.forward_closure ctx.Engine.history source
+    History.Snapshot.forward_closure hist source
     |> List.concat_map (fun r -> r.History.outputs)
     |> List.filter (fun (e, _) ->
            Ddf_schema.Schema.is_subtype ctx.Engine.schema ~sub:e
@@ -104,10 +101,7 @@ let derived_status (ctx : Engine.context) ~source ~goal_entity =
   match List.sort (fun a b -> compare b a) derived with
   | [] -> Never_extracted
   | newest :: _ -> (
-    match
-      History.out_of_date ctx.Engine.history ctx.Engine.store ctx.Engine.schema
-        newest
-    with
+    match History.Snapshot.out_of_date hist newest with
     | [] -> Up_to_date newest
     | stale -> Out_of_date (newest, stale))
 

@@ -121,7 +121,8 @@ let memo_lookup ctx ~tool ~inputs ~out_entities =
            (fun e -> List.mem_assoc e r.History.outputs)
            out_entities
     in
-    List.find_opt matches (History.uses_of ctx.history iid)
+    List.find_opt matches
+      (History.Snapshot.uses_of (History.snapshot ctx.history) iid)
 
 let ordered_invocations g =
   let rank = Hashtbl.create 32 in
@@ -196,8 +197,9 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
     assign_outputs r.History.outputs;
     `Memo
   | None ->
+    let snap = Store.snapshot ctx.store in
     let args =
-      List.map (fun (role, iid) -> (role, Store.payload ctx.store iid)) inputs
+      List.map (fun (role, iid) -> (role, Store.Snapshot.payload snap iid)) inputs
     in
     let t0 = if Obs.enabled () then Obs.now_us () else 0.0 in
     let outcome, cost_us, kind =
@@ -213,8 +215,8 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
         ([ (entity, composer args) ], 10, `Composed)
       | Some tool_nid ->
         let tool_iid = lookup tool_nid in
-        let tool_payload = Store.payload ctx.store tool_iid in
-        let tool_entity = Store.entity_of ctx.store tool_iid in
+        let tool_payload = Store.Snapshot.payload snap tool_iid in
+        let tool_entity = Store.Snapshot.entity_of snap tool_iid in
         let goal =
           match out_entities with
           | e :: _ -> e
@@ -251,7 +253,8 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
       List.filter (fun (e, _) -> List.mem e out_entities) stored
     in
     ignore
-      (History.add ctx.history ~task_entity ~tool ~inputs ~outputs:produced ~at);
+      (History.add ctx.history (Store.snapshot ctx.store) ctx.schema
+         ~task_entity ~tool ~inputs ~outputs:produced ~at);
     assign_outputs stored;
     (match kind with
     | `Composed -> Metrics.incr m_composed
@@ -278,10 +281,11 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
 let execute ?(memo = true) ctx g ~bindings =
   Task_graph.validate g;
   let assignment = Hashtbl.create 32 in
+  let snap = Store.snapshot ctx.store in
   List.iter
     (fun (nid, iid) ->
       let entity = Task_graph.entity_of g nid in
-      let inst_entity = Store.entity_of ctx.store iid in
+      let inst_entity = Store.Snapshot.entity_of snap iid in
       if not (Schema.is_subtype ctx.schema ~sub:inst_entity ~super:entity) then
         exec_errorf ~code:`Type_error "instance #%d (%s) cannot fill node %d (%s)" iid
           inst_entity
@@ -367,11 +371,12 @@ let execute ?(memo = true) ctx g ~bindings =
    instance into component instances, recorded in the history like any
    other task (section 3.1). *)
 let decompose ctx iid =
-  let entity = Store.entity_of ctx.store iid in
+  let snap = Store.snapshot ctx.store in
+  let entity = Store.Snapshot.entity_of snap iid in
   if not (Schema.is_composite ctx.schema entity) then
     exec_errorf ~code:`Type_error "instance #%d (%s) is not composite" iid entity;
   let decomposer = Encapsulation.find_decomposer ctx.registry entity in
-  let parts = decomposer (Store.payload ctx.store iid) in
+  let parts = decomposer (Store.Snapshot.payload snap iid) in
   let at = tick ctx in
   let stored =
     List.map
@@ -388,8 +393,9 @@ let decompose ctx iid =
   | [] -> exec_errorf "decomposition of %s produced nothing" entity
   | (first, _) :: _ ->
     ignore
-      (History.add ctx.history ~task_entity:first ~tool:None
-         ~inputs:[ ("composite", iid) ] ~outputs:stored ~at));
+      (History.add ctx.history (Store.snapshot ctx.store) ctx.schema
+         ~task_entity:first ~tool:None ~inputs:[ ("composite", iid) ]
+         ~outputs:stored ~at));
   stored
 
 let result_of run nid =
@@ -437,7 +443,8 @@ let try_batch ?(memo = true) ctx g nid iids =
       | Some r -> List.assoc_opt entity r.History.outputs
       | None ->
         Metrics.incr m_batches;
-        let merged = merge (List.map (Store.payload ctx.store) iids) in
+        let snap = Store.snapshot ctx.store in
+        let merged = merge (List.map (Store.Snapshot.payload snap) iids) in
         Typing.check ctx.schema entity merged;
         let at = tick ctx in
         let meta =
@@ -449,7 +456,8 @@ let try_batch ?(memo = true) ctx g nid iids =
           Store.put ctx.store ~entity ~hash:(Ddf_data.hash merged) ~meta merged
         in
         ignore
-          (History.add ctx.history ~task_entity:entity ~tool:None ~inputs
+          (History.add ctx.history (Store.snapshot ctx.store) ctx.schema
+             ~task_entity:entity ~tool:None ~inputs
              ~outputs:[ (entity, iid) ] ~at);
         Some iid
     end

@@ -10,10 +10,11 @@
     comparison.
 
     {b MVCC:} like {!Store}, the hot state is one immutable record
-    behind an [Atomic.t].  {!snapshot} captures it lock-free; all the
-    reads below exist in two forms — live wrappers on {!t} (a fresh
-    capture per call) and the {!Snapshot} module for pinned views.
-    Store-joined queries pair a history snapshot with a
+    behind an [Atomic.t].  {!snapshot} captures it lock-free, and the
+    {!Snapshot} module is the one read surface: the handle {!t} keeps
+    only mutations, observers, {!restore_tick} and {!snapshot}.  A
+    caller that reads several times pins once.  Store-joined queries
+    (traces, templates) pair a history snapshot with a
     {!Store.Snapshot.t} so both sides are frozen together.
 
     Failures raise {!Ddf_core.Error.Ddf_error} ([`Not_found] for
@@ -43,25 +44,23 @@ val create : unit -> t
 val snapshot : t -> snapshot
 (** Capture the latest committed state: one atomic load. *)
 
-val size : t -> int
-
 val add :
-  t -> task_entity:string -> tool:Store.iid option ->
-  inputs:(string * Store.iid) list -> outputs:(string * Store.iid) list ->
-  at:int -> record
-(** @raise Ddf_core.Error.Ddf_error ([`Conflict]) when an output
+  t -> 'a Store.Snapshot.t -> Schema.t -> task_entity:string ->
+  tool:Store.iid option -> inputs:(string * Store.iid) list ->
+  outputs:(string * Store.iid) list -> at:int -> record
+(** Append a record and the version edges it creates (see
+    "Versioning" below).  The store snapshot must hold every input and
+    output instance when the record has inputs: their entities and
+    creation times are read from it before the commit.
+    @raise Ddf_core.Error.Ddf_error ([`Conflict]) when an output
     already has a producing record (derivations uniquely identify
-    design objects), [`Invalid] when outputs are empty. *)
-
-val find : t -> int -> record
-val records : t -> record list
-
-val tick : t -> int
-(** The history's monotonic record counter: the rid the next {!add}
-    will assign (restorable like {!Store.tick}). *)
+    design objects), [`Invalid] when outputs are empty, [`Not_found]
+    when the record has inputs and one of its instances is missing
+    from the store snapshot. *)
 
 val restore_tick : t -> int -> unit
-(** @raise Ddf_core.Error.Ddf_error when moving the counter
+(** Move the record counter ({!Snapshot.tick}) forward after a replay.
+    @raise Ddf_core.Error.Ddf_error when moving the counter
     backwards. *)
 
 val set_observer : t -> (record -> unit) -> unit
@@ -98,29 +97,12 @@ val add_conflict :
   t -> base:Store.iid -> ours:Store.iid -> theirs:Store.iid ->
   origin:string -> at:int -> conflict
 
-val find_conflict : t -> int -> conflict
-(** @raise Ddf_core.Error.Ddf_error on an unknown id. *)
-
-val find_conflict_pair : t -> Store.iid -> Store.iid -> conflict option
-(** The conflict whose \{ours, theirs\} equals the unordered pair, if
-    any — the dedup key: both peers record the same divergence with
-    the orientation swapped. *)
-
-val conflicts : t -> conflict list
-(** Unresolved conflicts, oldest first. *)
-
-val all_conflicts : t -> conflict list
-
 val resolve_conflict : t -> int -> winner:Store.iid -> conflict
 (** Pick a winner (one of base/ours/theirs), returning the updated
     conflict.  Re-resolving with the same winner is a no-op (synced
     resolutions re-apply); a different winner raises.
     @raise Ddf_core.Error.Ddf_error on an unknown id, a winner outside
     the conflict, or a contradictory re-resolution. *)
-
-val conflict_tick : t -> int
-(** The cid the next {!add_conflict} will assign (dense, like record
-    ids — journal replay asserts it). *)
 
 val set_conflict_observer : t -> (conflict_event -> unit) -> unit
 (** Install the single conflict observer (the journal subscribes here,
@@ -129,153 +111,132 @@ val set_conflict_observer : t -> (conflict_event -> unit) -> unit
 
 val clear_conflict_observer : t -> unit
 
-(** {1 Chaining (Fig. 10)} *)
-
-val derivation_of : t -> Store.iid -> record option
-(** The record that created an instance; [None] for sources installed
-    directly by the designer. *)
-
-val uses_of : t -> Store.iid -> record list
-(** Records consuming the instance (as input or as tool). *)
-
-val backward_closure : t -> Store.iid -> record list
-(** The complete derivation history, nearest record first. *)
-
-val forward_closure : t -> Store.iid -> record list
-(** Every record transitively depending on the instance. *)
-
-val derived_instances : t -> Store.iid -> Store.iid list
-val ancestor_instances : t -> Store.iid -> Store.iid list
-
-(** {1 Flow traces (Fig. 11(b))} *)
-
-val trace :
-  t -> 'a Store.t -> Schema.t -> Store.iid ->
-  Ddf_graph.Task_graph.t * int * (int * Store.iid) list
-(** The derivation of an instance as a task graph plus its instance
-    binding: [(graph, root node, node -> instance)].  The same form is
-    used for queries and for re-execution. *)
-
-(** {1 Query by template (section 4.2)} *)
-
-val query_template :
-  t -> 'a Store.t -> Ddf_graph.Task_graph.t -> bound:(int * Store.iid) list ->
-  (int * Store.iid) list list
-(** All bindings of the template's nodes to instances consistent with
-    the recorded history; [bound] pins some nodes.  Result capped at
-    1000 bindings. *)
-
-(** {1 Versioning (Fig. 11)}
-
-    Version queries are answered from a version-successor index
-    (parent and children edges per instance) built lazily and advanced
-    incrementally over the records added since the last query — never
-    re-derived from [uses_of] per node.  The index is an immutable
-    value cached on the handle and republished by CAS, which makes it
-    both domain-safe and snapshot-safe: a query through a pinned
-    snapshot only uses the cached prefix up to the snapshot's own
-    record boundary (rebuilding privately when the live cache has run
-    ahead).  The index is keyed on the {!Store.id} and the physical
-    identity of the schema it was derived against; querying with a
-    different store (e.g. after a replication resync) rebuilds it
-    transparently. *)
-
-val version_parent : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid option
-(** The edit predecessor: the input of the producing record whose
-    entity shares the instance's root type. *)
-
-val version_children : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid list
-(** Direct edit successors — more than one means alternative versions
-    branch here (deliberate alternatives, or a sync merge of divergent
-    workspaces). *)
-
-val record_version_parent :
-  'a Store.t -> Schema.t -> record -> Store.iid -> Store.iid option
-(** The version parent [record] gives one of its outputs: the input
-    sharing the output's root entity type.  Exposed for the sync
-    applier, which must detect version branches record by record. *)
-
 type version_tree = {
   v_iid : Store.iid;
   v_children : version_tree list;
 }
 
-val version_tree : t -> 'a Store.t -> Schema.t -> Store.iid -> version_tree
 val version_tree_size : version_tree -> int
 
-val versions : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid list
-(** Every version in the instance's tree, from its origin. *)
+(** {1 Reads}
 
-val latest_version : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid
-(** The newest version by creation time (ties go to the higher iid);
-    the instance itself when it has no versions. *)
-
-(** {1 Consistency} *)
-
-val out_of_date :
-  t -> 'a Store.t -> Schema.t -> Store.iid ->
-  (string * Store.iid * Store.iid list) list
-(** Inputs of the derivation that have newer versions:
-    [(role, input, newer versions)]. *)
-
-val is_up_to_date : t -> 'a Store.t -> Schema.t -> Store.iid -> bool
-
-(** {1 Snapshot reads}
-
-    The read API above, against one frozen history view.  Store-joined
-    queries take the {!Store.Snapshot.t} to read instance entities and
-    metadata from — pin both sides together (the server's published
-    view does) for a fully repeatable query. *)
+    The one read surface: every query reads one frozen history view. *)
 
 module Snapshot : sig
   type t = snapshot
 
   val size : t -> int
+
   val tick : t -> int
+  (** The history's monotonic record counter: the rid the next {!add}
+      will assign (restorable with {!restore_tick}). *)
+
   val conflict_tick : t -> int
+  (** The cid the next {!add_conflict} will assign (dense, like record
+      ids — journal replay asserts it). *)
+
   val find : t -> int -> record
   val records : t -> record list
+
   val find_conflict : t -> int -> conflict
+  (** @raise Ddf_core.Error.Ddf_error on an unknown id. *)
+
   val find_conflict_pair : t -> Store.iid -> Store.iid -> conflict option
-  val all_conflicts : t -> conflict list
+  (** The conflict whose \{ours, theirs\} equals the unordered pair, if
+      any — the dedup key: both peers record the same divergence with
+      the orientation swapped. *)
+
   val conflicts : t -> conflict list
+  (** Unresolved conflicts, oldest first. *)
+
+  val all_conflicts : t -> conflict list
+
+  (** {2 Chaining (Fig. 10)} *)
+
   val derivation_of : t -> Store.iid -> record option
+  (** The record that created an instance; [None] for sources installed
+      directly by the designer. *)
+
   val uses_of : t -> Store.iid -> record list
+  (** Records consuming the instance (as input or as tool). *)
+
   val backward_closure : t -> Store.iid -> record list
+  (** The complete derivation history, nearest record first. *)
+
   val forward_closure : t -> Store.iid -> record list
+  (** Every record transitively depending on the instance. *)
+
   val derived_instances : t -> Store.iid -> Store.iid list
   val ancestor_instances : t -> Store.iid -> Store.iid list
+
+  (** {2 Flow traces (Fig. 11(b))} *)
 
   val trace :
     t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid ->
     Ddf_graph.Task_graph.t * int * (int * Store.iid) list
+  (** The derivation of an instance as a task graph plus its instance
+      binding: [(graph, root node, node -> instance)].  The same form
+      is used for queries and for re-execution.  Pin the store
+      snapshot with (or after) the history snapshot so it holds every
+      instance the records mention. *)
+
+  (** {2 Query by template (section 4.2)} *)
 
   val query_template :
     t -> 'a Store.Snapshot.t -> Ddf_graph.Task_graph.t ->
     bound:(int * Store.iid) list -> (int * Store.iid) list list
+  (** All bindings of the template's nodes to instances consistent
+      with the recorded history; [bound] pins some nodes.  Result
+      capped at 1000 bindings. *)
 
-  val version_parent :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> Store.iid option
+  (** {2 Versioning (Fig. 11)}
 
-  val version_children :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> Store.iid list
+      The version tree is part of the recorded state.  {!add} derives
+      a record's edges when it writes the record: each output's
+      version parent is the first input sharing the output's root
+      entity type (an editing task).  The state keeps one node per
+      versioned instance (parent, origin, creation time, children) and
+      the newest version per origin, in persistent maps.  So every
+      snapshot carries exactly the edges of its own records, and each
+      query below costs O(answer); {!latest_version} is two map
+      lookups.  A producing record that arrives after its output was
+      edited (a sync can deliver that order) joins the output's tree
+      to its parent's; an edge that would close a cycle is dropped. *)
 
-  val version_tree :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> version_tree
+  val version_parent : t -> Store.iid -> Store.iid option
+  (** The edit predecessor: the input of the producing record whose
+      entity shares the instance's root type. *)
 
-  val versions :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> Store.iid list
+  val version_children : t -> Store.iid -> Store.iid list
+  (** Direct edit successors, ascending — more than one means
+      alternative versions branch here (deliberate alternatives, or a
+      sync merge of divergent workspaces). *)
 
-  val latest_version :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> Store.iid
+  val version_tree : t -> Store.iid -> version_tree
 
-  val out_of_date :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid ->
-    (string * Store.iid * Store.iid list) list
+  val versions : t -> Store.iid -> Store.iid list
+  (** Every version in the instance's tree (the tree of its origin),
+      ascending. *)
 
-  val is_up_to_date :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> bool
+  val latest_version : t -> Store.iid -> Store.iid
+  (** The newest version by creation time (ties go to the higher iid);
+      the instance itself when it has no versions. *)
+
+  (** {2 Consistency} *)
+
+  val out_of_date : t -> Store.iid -> (string * Store.iid * Store.iid list) list
+  (** Inputs of the derivation that have newer versions:
+      [(role, input, newer versions)]. *)
+
+  val is_up_to_date : t -> Store.iid -> bool
 end
 
+val versions : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid list
+(** [Snapshot.versions (snapshot h) iid]; the store and schema are
+    ignored.  Kept with this signature for the design-server benchmark
+    ([perfbench/]), whose traced run calls it on the live handle. *)
+
+val latest_version : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid
+(** [Snapshot.latest_version (snapshot h) iid], kept like {!versions}. *)
+
 val pp_record : Format.formatter -> record -> unit
-val pp : Format.formatter -> t -> unit

@@ -324,7 +324,7 @@ let replay_entry ctx payload =
     | S.Atom "note" :: fields ->
       let iid = S.as_int (S.one "iid" (S.find_field fields "iid")) in
       let meta = W.meta_of_sexp (S.one "meta" (S.find_field fields "meta")) in
-      if not (Store.mem store iid) then
+      if not (Store.Snapshot.mem (Store.snapshot store) iid) then
         journal_errorf "annotation of unknown instance %d" iid;
       Store.annotate store iid ~label:meta.Store.label
         ~comment:meta.Store.comment ~keywords:meta.Store.keywords ();
@@ -340,7 +340,8 @@ let replay_entry ctx payload =
         with W.Persist_error m -> journal_errorf "record entry: %s" m
       in
       let r =
-        History.add history ~task_entity:p.W.rp_task_entity ~tool:p.W.rp_tool
+        History.add history (Store.snapshot store) ctx.Ddf_exec.Engine.schema
+          ~task_entity:p.W.rp_task_entity ~tool:p.W.rp_tool
           ~inputs:p.W.rp_inputs ~outputs:p.W.rp_outputs ~at:p.W.rp_at
       in
       if r.History.rid <> p.W.rp_rid then
@@ -628,22 +629,24 @@ let evict_cold j =
   | None -> 0
   | Some c ->
     let store = j.j_ctx.Ddf_exec.Engine.store in
+    let snap = Store.snapshot store in
     let cold = Hashtbl.create 256 in
     Cement.iter_puts c (fun iid -> Hashtbl.replace cold iid ());
     let owners = Hashtbl.create 256 in
     (* hash -> (droppable so far, representative iid) *)
     List.iter
       (fun iid ->
-        let h = Store.hash_of store iid in
+        let h = Store.Snapshot.hash_of snap iid in
         let ok = Hashtbl.mem cold iid in
         match Hashtbl.find_opt owners h with
         | None -> Hashtbl.replace owners h (ok, iid)
         | Some (all_ok, rep) -> Hashtbl.replace owners h (all_ok && ok, rep))
-      (Store.all_instances store);
+      (Store.Snapshot.all_instances snap);
     let n = ref 0 in
     Hashtbl.iter
       (fun _h (all_ok, rep) ->
-        if all_ok && Store.payload_resident store rep && Store.evict store rep
+        if all_ok && Store.Snapshot.payload_resident snap rep
+           && Store.evict store rep
         then incr n)
       owners;
     !n
@@ -684,14 +687,14 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group)
   let seq, torn, segs = replay_segments ctx dir ~from:snap_seq in
   (* counters were restored by dense re-insertion; assert the ticks
      agree with the contents before trusting the database *)
-  let store = ctx.Ddf_exec.Engine.store in
-  if Store.tick store <> Store.instance_count store + 1 then
+  let store = Store.snapshot ctx.Ddf_exec.Engine.store in
+  if Store.Snapshot.(tick store <> instance_count store + 1) then
     journal_errorf "instance counter %d does not match %d instances"
-      (Store.tick store)
-      (Store.instance_count store);
-  if History.tick ctx.Ddf_exec.Engine.history
-     <> History.size ctx.Ddf_exec.Engine.history + 1
-  then journal_errorf "record counter disagrees with the history size";
+      (Store.Snapshot.tick store)
+      (Store.Snapshot.instance_count store);
+  let history = History.snapshot ctx.Ddf_exec.Engine.history in
+  if History.Snapshot.(tick history <> size history + 1) then
+    journal_errorf "record counter disagrees with the history size";
   (* wal.ddf stays live when it ends at [seq]; otherwise the snapshot
      covers it and a fresh one starts after [seq] *)
   let live = wal_path dir in

@@ -239,7 +239,7 @@ let load_instance store sexp =
   match S.as_list sexp with
   | [ iid; entity; meta; hash; value ] ->
     let iid = S.as_int iid in
-    let due = Store.tick store in
+    let due = Store.Snapshot.tick (Store.snapshot store) in
     if iid <> due then
       persist_errorf "instance ids are not dense and ascending (%d where %d \
                       was due)" iid due;
@@ -255,14 +255,19 @@ let load_instance store sexp =
          ~meta:(meta_of_sexp meta) value : Store.iid)
   | _ -> persist_errorf "malformed instance"
 
-let load_records history sexps =
+(* Every instance is loaded by now, so one store snapshot serves the
+   version edges of all the records. *)
+let load_records (ctx : Ddf_exec.Engine.context) sexps =
+  let store = Store.snapshot ctx.Ddf_exec.Engine.store in
   sexps
   |> List.map record_of_sexp
   |> List.sort (fun a b -> compare a.rp_rid b.rp_rid)
   |> List.iter (fun p ->
          let r =
-           History.add history ~task_entity:p.rp_task_entity ~tool:p.rp_tool
-             ~inputs:p.rp_inputs ~outputs:p.rp_outputs ~at:p.rp_at
+           History.add ctx.Ddf_exec.Engine.history store
+             ctx.Ddf_exec.Engine.schema ~task_entity:p.rp_task_entity
+             ~tool:p.rp_tool ~inputs:p.rp_inputs ~outputs:p.rp_outputs
+             ~at:p.rp_at
          in
          if r.History.rid <> p.rp_rid then
            persist_errorf "record ids are not dense (%d loaded as %d)" p.rp_rid
@@ -321,7 +326,7 @@ let load_cursor ?registry schema c =
   enter_section c "instances";
   each_item c (load_instance ctx.Ddf_exec.Engine.store);
   enter_section c "records";
-  load_records history (section_items c);
+  load_records ctx (section_items c);
   (* sync conflicts: an optional section, absent in pre-sync files *)
   S.enter c;
   (match S.next c with

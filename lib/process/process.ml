@@ -72,10 +72,11 @@ let logic_view (ctx : Ddf_exec.Engine.context) c =
     { Store.any_filter with
       Store.f_keywords = [ cell_keyword c.cell_name ] }
   in
-  Store.browse ctx.Ddf_exec.Engine.store filter
+  let snap = Store.snapshot ctx.Ddf_exec.Engine.store in
+  Store.Snapshot.browse snap filter
   |> List.filter (fun iid ->
          Ddf_schema.Schema.is_subtype ctx.Ddf_exec.Engine.schema
-           ~sub:(Store.entity_of ctx.Ddf_exec.Engine.store iid)
+           ~sub:(Store.Snapshot.entity_of snap iid)
            ~super:E.netlist)
   |> fun l -> List.nth_opt (List.rev l) 0
 
@@ -104,8 +105,8 @@ let requirement_status ctx c req =
        version still counts, but shows up stale once the cell moves on *)
     let origin =
       match
-        Ddf_history.History.versions ctx.Ddf_exec.Engine.history
-          ctx.Ddf_exec.Engine.store ctx.Ddf_exec.Engine.schema logic
+        Ddf_history.History.(
+          Snapshot.versions (snapshot ctx.Ddf_exec.Engine.history) logic)
       with
       | first :: _ -> first
       | [] -> logic

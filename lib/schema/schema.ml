@@ -109,10 +109,10 @@ let ancestors s id =
   in
   up [] id
 
-let root_of s id =
-  match List.rev (ancestors s id) with
-  | [] -> id
-  | r :: _ -> r
+let rec root_of s id =
+  match parent_of s id with
+  | None -> id
+  | Some p -> root_of s p
 
 (* Build the children lists and ancestor sets in one pass over the
    entity map; descendant lists are filled on demand per queried root.

@@ -1049,7 +1049,9 @@ let start ?registry ?seed ?follow ?(max_clients = 64)
   let journal = Journal.open_ ?registry ?compact_every ?sync_mode ~dir:db schema in
   let ctx = Journal.context journal in
   (match seed with
-  | Some f when follow = None && Store.instance_count ctx.Engine.store = 0 ->
+  | Some f
+    when follow = None
+         && Store.Snapshot.instance_count (Store.snapshot ctx.Engine.store) = 0 ->
     f ctx
   | Some _ | None -> ());
   if Sys.file_exists socket then (

@@ -11,6 +11,7 @@
    MVCC: the whole hot state lives in one immutable record behind an
    [Atomic.t].  A snapshot is just [Atomic.get] — O(1), no locks — and
    stays valid forever; mutations build a new record and CAS it in.
+   Every read goes through [Snapshot]; the handle only writes.
    The only concurrent writers are the (single) mutator and readers
    promoting cold payloads, so CAS retries are rare. *)
 
@@ -51,7 +52,6 @@ type 'a state = {
 }
 
 type 'a t = {
-  id : int;                        (* identity for external index caches *)
   state : 'a state Atomic.t;
   mutable observer : ('a event -> unit) option;
   mutable cold_loader : (iid -> 'a option) option;
@@ -74,8 +74,6 @@ let m_browses = Ddf_obs.Metrics.counter "store.browses"
 let m_cold_loads = Ddf_obs.Metrics.counter "store.cold_loads"
 let m_evictions = Ddf_obs.Metrics.counter "store.evictions"
 
-let next_store_id = Atomic.make 1
-
 let empty_state =
   {
     st_next_iid = 1;
@@ -87,13 +85,10 @@ let empty_state =
 
 let create () =
   {
-    id = Atomic.fetch_and_add next_store_id 1;
     state = Atomic.make empty_state;
     observer = None;
     cold_loader = None;
   }
-
-let id store = store.id
 
 (* Apply a pure state transform with a CAS retry loop.  [f] must be
    side-effect free (it may run more than once under contention);
@@ -106,8 +101,6 @@ let rec update store f =
   else update store f
 
 let snapshot store = { snap_state = Atomic.get store.state; snap_source = store }
-
-let tick store = (Atomic.get store.state).st_next_iid
 
 let restore_tick store n =
   update store (fun st ->
@@ -260,7 +253,6 @@ let compile filter =
 module Snapshot = struct
   type 'a t = 'a snapshot
 
-  let source snap = snap.snap_source
   let tick snap = snap.snap_state.st_next_iid
 
   let find_opt snap iid = Int_map.find_opt iid snap.snap_state.st_instances
@@ -333,30 +325,6 @@ module Snapshot = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Live-store reads: thin wrappers over a fresh snapshot.  Each call   *)
-(* sees the latest committed state; multi-call consistency requires    *)
-(* taking an explicit [snapshot].                                      *)
-(* ------------------------------------------------------------------ *)
-
-let find_opt store iid = Snapshot.find_opt (snapshot store) iid
-let find store iid = Snapshot.find (snapshot store) iid
-let mem store iid = Snapshot.mem (snapshot store) iid
-let payload_resident store iid = Snapshot.payload_resident (snapshot store) iid
-let payload store iid = Snapshot.payload (snapshot store) iid
-let entity_of store iid = Snapshot.entity_of (snapshot store) iid
-let meta_of store iid = Snapshot.meta_of (snapshot store) iid
-let hash_of store iid = Snapshot.hash_of (snapshot store) iid
-let instance_count store = Snapshot.instance_count (snapshot store)
-let physical_count store = Snapshot.physical_count (snapshot store)
-
-let instances_of_entity store entity =
-  Snapshot.instances_of_entity (snapshot store) entity
-
-let all_instances store = Snapshot.all_instances (snapshot store)
-let matches store filter iid = Snapshot.matches (snapshot store) filter iid
-let browse store filter = Snapshot.browse (snapshot store) filter
-
-(* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -364,6 +332,3 @@ let pp_instance ppf inst =
   Fmt.pf ppf "#%d %s %S by %s @%d" inst.iid inst.entity inst.meta.label
     inst.meta.user inst.meta.created_at
 
-let pp ppf store =
-  Fmt.pf ppf "store: %d instances over %d physical objects"
-    (instance_count store) (physical_count store)

@@ -11,12 +11,12 @@
 
     {b MVCC:} the store's hot state is one immutable record behind an
     [Atomic.t].  {!snapshot} is an O(1), lock-free capture of it that
-    stays valid forever; all reads are served from a snapshot
-    ({!Snapshot}), and the live-store read functions below are thin
-    wrappers that capture a fresh snapshot per call.  Mutations build a
-    new state record and publish it with a compare-and-set, so a
-    snapshot pinned on one domain is never torn by a writer on
-    another. *)
+    stays valid forever, and the {!Snapshot} module is the one read
+    surface: the handle {!t} keeps only mutations, the observer, the
+    cold loader, {!restore_tick} and {!snapshot}.  A caller that reads
+    several times pins once.  Mutations build a new state record and
+    publish it with a compare-and-set, so a snapshot pinned on one
+    domain is never torn by a writer on another. *)
 
 type iid = int
 (** Instance identifier, unique within one store. *)
@@ -50,11 +50,6 @@ type 'a snapshot
 
 val create : unit -> 'a t
 
-val id : 'a t -> int
-(** A process-unique identity for this handle, stable across
-    mutations.  External caches (e.g. the history version index) key
-    on it instead of on physical equality of mutable innards. *)
-
 val snapshot : 'a t -> 'a snapshot
 (** Capture the latest committed state: one atomic load. *)
 
@@ -65,37 +60,16 @@ val meta :
 val put : 'a t -> entity:string -> hash:string -> meta:meta -> 'a -> iid
 (** Install an instance; the payload is stored once per distinct hash. *)
 
-val find : 'a t -> iid -> 'a instance
-(** @raise Ddf_core.Error.Ddf_error on a missing instance. *)
-
-val find_opt : 'a t -> iid -> 'a instance option
-val mem : 'a t -> iid -> bool
-
-val payload : 'a t -> iid -> 'a
-(** The physical datum behind an instance.  Resident payloads are one
-    map lookup; an evicted payload falls through to the cold loader
-    (see {!set_cold_loader}), is re-installed in the resident table
-    (promote-on-read) and counted in [store.cold_loads].
-    @raise Ddf_core.Error.Ddf_error ([`Not_found]) when the payload is
-    neither resident nor reloadable. *)
-
-val entity_of : 'a t -> iid -> string
-val meta_of : 'a t -> iid -> meta
-val hash_of : 'a t -> iid -> string
-
 val annotate :
   'a t -> iid -> ?label:string -> ?comment:string -> ?keywords:string list ->
   unit -> unit
 (** Update the designer-facing annotation of an instance (section 4.1:
     naming and documenting design steps). *)
 
-val tick : 'a t -> int
-(** The store's monotonic instance counter: the iid the next {!put}
-    will assign.  Exposed so journal replay and the design server can
-    restore the clock instead of re-deriving it from the contents. *)
-
 val restore_tick : 'a t -> int -> unit
-(** Reset the counter after a replay.
+(** Move the instance counter ({!Snapshot.tick}) forward after a
+    replay, so journal replay and the design server restore the clock
+    instead of re-deriving it from the contents.
     @raise Ddf_core.Error.Ddf_error when moving the counter backwards
     (iids must stay unique). *)
 
@@ -107,16 +81,11 @@ val restore_tick : 'a t -> int -> unit
     resident payloads whose every owning instance is reloadable. *)
 
 val set_cold_loader : 'a t -> (iid -> 'a option) -> unit
-(** Install the fall-through used by {!payload} on a non-resident
+(** Install the fall-through used by {!Snapshot.payload} on a non-resident
     datum.  The loader receives the iid (cold storage is keyed by the
     installing put, not by hash) and returns the payload or [None]. *)
 
 val clear_cold_loader : 'a t -> unit
-
-val payload_resident : 'a t -> iid -> bool
-(** Whether {!payload} would be served from the resident table (no
-    cold load).  @raise Ddf_core.Error.Ddf_error on a missing
-    instance. *)
 
 val evict : 'a t -> iid -> bool
 (** Drop the resident payload behind [iid] (shared-hash siblings lose
@@ -136,17 +105,6 @@ val set_observer : 'a t -> ('a event -> unit) -> unit
 
 val clear_observer : 'a t -> unit
 
-val instance_count : 'a t -> int
-
-val physical_count : 'a t -> int
-(** Distinct payloads: [instance_count - physical_count] is the storage
-    saved by sharing. *)
-
-val instances_of_entity : 'a t -> string -> iid list
-(** In installation order. *)
-
-val all_instances : 'a t -> iid list
-
 (** {1 Browser filters (the Fig. 9 instance browser)} *)
 
 type filter = {
@@ -159,47 +117,56 @@ type filter = {
 }
 
 val any_filter : filter
-val matches : 'a t -> filter -> iid -> bool
-val browse : 'a t -> filter -> iid list
 
-(** {1 Snapshot reads}
+(** {1 Reads}
 
-    The same read API as the live wrappers above, against one frozen
-    view.  This is what the server's domain-pool read executor and
-    {!Parallel}'s flow branches use: pin once, read many times, never
-    take a lock. *)
+    The one read surface, against one frozen view: pin once, read many
+    times, never take a lock. *)
 
 module Snapshot : sig
-  type 'a store := 'a t
   type 'a t = 'a snapshot
-
-  val source : 'a t -> 'a store
-  (** The live handle this snapshot was captured from. *)
 
   val tick : 'a t -> int
   (** The instance counter at capture time: iids [>= tick] are not in
       this snapshot. *)
 
   val find : 'a t -> iid -> 'a instance
+  (** @raise Ddf_core.Error.Ddf_error ([`Not_found]) on a missing
+      instance. *)
+
   val find_opt : 'a t -> iid -> 'a instance option
   val mem : 'a t -> iid -> bool
 
   val payload : 'a t -> iid -> 'a
-  (** Cold loads promote into the {e live} store, never into the
-      snapshot: re-reading the same evicted payload through one
-      snapshot hits the loader again. *)
+  (** The physical datum behind an instance.  Resident payloads are one
+      map lookup; an evicted payload falls through to the cold loader
+      (see {!set_cold_loader}), is re-installed in the {e live} store's
+      resident table (promote-on-read, never into the snapshot: a
+      re-read through the same snapshot hits the loader again) and
+      counted in [store.cold_loads].
+      @raise Ddf_core.Error.Ddf_error ([`Not_found]) when the payload is
+      neither resident nor reloadable. *)
 
   val payload_resident : 'a t -> iid -> bool
+  (** Whether {!payload} would be served from the resident table (no
+      cold load).  @raise Ddf_core.Error.Ddf_error on a missing
+      instance. *)
+
   val entity_of : 'a t -> iid -> string
   val meta_of : 'a t -> iid -> meta
   val hash_of : 'a t -> iid -> string
   val instance_count : 'a t -> int
+
   val physical_count : 'a t -> int
+  (** Distinct payloads: [instance_count - physical_count] is the
+      storage saved by sharing. *)
+
   val instances_of_entity : 'a t -> string -> iid list
+  (** In installation order. *)
+
   val all_instances : 'a t -> iid list
   val matches : 'a t -> filter -> iid -> bool
   val browse : 'a t -> filter -> iid list
 end
 
 val pp_instance : Format.formatter -> 'a instance -> unit
-val pp : Format.formatter -> 'a t -> unit

@@ -139,9 +139,10 @@ let journal =
         Alcotest.(check bool) "something evicted" true (evicted > 0);
         let store = ctx.Engine.store in
         let cold =
+          let snap = Store.snapshot store in
           List.filter
-            (fun iid -> not (Store.payload_resident store iid))
-            (Store.all_instances store)
+            (fun iid -> not (Store.Snapshot.payload_resident snap iid))
+            (Store.Snapshot.all_instances snap)
         in
         Alcotest.(check int) "eviction count matches residency" evicted
           (List.length cold);
@@ -154,7 +155,7 @@ let journal =
         List.iter
           (fun iid ->
             Alcotest.(check bool) "re-promoted" true
-              (Store.payload_resident store iid))
+              (Store.Snapshot.payload_resident (Store.snapshot store) iid))
           cold;
         Journal.close j);
     Alcotest.test_case "a crash after the snapshot rename keeps the seqno line"
@@ -274,7 +275,9 @@ let bootstrap =
          (* the file is a loadable workspace on its own *)
          let session = Persist.load_file Standard_schemas.odyssey out in
          Alcotest.(check bool) "export parses" true
-           (Store.instance_count (Session.context session).Engine.store > 0)));
+           (Store.Snapshot.instance_count
+              (Store.snapshot (Session.context session).Engine.store)
+            > 0)));
   ]
 
 let suite =

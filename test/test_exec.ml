@@ -159,7 +159,8 @@ let engine_tests =
         let w, f, bindings = fig5_setup () in
         let ctx = Workspace.ctx w in
         let _ = Engine.execute ctx f.Standard_flows.f5_graph ~bindings in
-        check Alcotest.int "five records" 5 (History.size (Workspace.history w)));
+        check Alcotest.int "five records" 5
+          History.(Snapshot.size (snapshot (Workspace.history w))));
   ]
 
 let parallel_tests =
@@ -224,7 +225,7 @@ let parallel_tests =
         in
         check Alcotest.int "five invocations" 5 executed;
         let hash w r nid =
-          Store.hash_of (Workspace.store w) (List.assoc nid r)
+          Store.(Snapshot.hash_of (snapshot (Workspace.store w)) (List.assoc nid r))
         in
         check Alcotest.string "same performance payload"
           (hash w serial.Engine.assignment f.Standard_flows.f5_performance)
@@ -318,7 +319,9 @@ let decompose_tests =
         (* the decomposition is in the history: parts chain back to the
            composite *)
         let _, part = List.hd parts in
-        let ancestors = History.ancestor_instances (Workspace.history w) part in
+        let ancestors =
+          History.(Snapshot.ancestor_instances (snapshot (Workspace.history w)) part)
+        in
         check Alcotest.bool "chains to the composite" true
           (List.mem circuit ancestors));
     expect_exec_error "decomposing a non-composite fails" (fun () ->
@@ -413,8 +416,10 @@ let tools_as_data_tests =
           (List.map (List.map snd) (responses nl)
            = List.map (List.map snd) (responses optimized));
         (* the history shows the simulator flowing INTO the optimizer *)
-        let r = History.derivation_of (Workspace.history w)
-                  (Engine.result_of run out) in
+        let r =
+          History.(Snapshot.derivation_of (snapshot (Workspace.history w)))
+            (Engine.result_of run out)
+        in
         match r with
         | Some r ->
           check Alcotest.bool "evaluator recorded" true
@@ -484,10 +489,11 @@ let batching_tests =
         check Alcotest.int "all vectors in one call" 10
           p.Eda.Performance.vectors_simulated;
         (* the merged stimuli instance is a recorded design object *)
-        match History.derivation_of (Workspace.history w) perf_iid with
+        let hist = History.snapshot (Workspace.history w) in
+        match History.Snapshot.derivation_of hist perf_iid with
         | Some r ->
           let merged = List.assoc "stimuli" r.History.inputs in
-          (match History.derivation_of (Workspace.history w) merged with
+          (match History.Snapshot.derivation_of hist merged with
           | Some m ->
             check Alcotest.int "two parts" 2 (List.length m.History.inputs)
           | None -> Alcotest.fail "merge not recorded")
@@ -531,10 +537,12 @@ let batching_tests =
           ]
         in
         let r1 = Engine.execute_fanout ctx g ~bindings in
-        let before = Store.instance_count (Workspace.store w) in
+        let count () =
+          Store.(Snapshot.instance_count (snapshot (Workspace.store w)))
+        in
+        let before = count () in
         let r2 = Engine.execute_fanout ctx g ~bindings in
-        check Alcotest.int "no new instances" before
-          (Store.instance_count (Workspace.store w));
+        check Alcotest.int "no new instances" before (count ());
         check Alcotest.int "same result"
           (Engine.result_of (List.hd r1) perf)
           (Engine.result_of (List.hd r2) perf));

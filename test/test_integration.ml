@@ -140,10 +140,12 @@ let parallel_matches_serial (seed, steps) =
     Parallel.execute_parallel ~domains:2 (Workspace.ctx w2) g
       ~bindings:(auto_bindings w2 g)
   in
+  let st1 = Store.snapshot (Workspace.store w1)
+  and st2 = Store.snapshot (Workspace.store w2) in
   List.for_all
     (fun nid ->
-      Store.hash_of (Workspace.store w1) (List.assoc nid r1.Engine.assignment)
-      = Store.hash_of (Workspace.store w2) (List.assoc nid a2))
+      Store.Snapshot.hash_of st1 (List.assoc nid r1.Engine.assignment)
+      = Store.Snapshot.hash_of st2 (List.assoc nid a2))
     (Task_graph.node_ids g)
 
 let survives_persistence (seed, steps) =
@@ -151,11 +153,12 @@ let survives_persistence (seed, steps) =
   let w = Workspace.create () in
   let _ = Engine.execute (Workspace.ctx w) g ~bindings:(auto_bindings w g) in
   let s2 = Persist.load Standard_schemas.odyssey (Persist.save (Workspace.session w)) in
-  let st1 = Workspace.store w and st2 = (Session.context s2).Engine.store in
-  Store.instance_count st1 = Store.instance_count st2
+  let st1 = Store.snapshot (Workspace.store w)
+  and st2 = Store.snapshot (Session.context s2).Engine.store in
+  Store.Snapshot.instance_count st1 = Store.Snapshot.instance_count st2
   && List.for_all
-       (fun iid -> Store.hash_of st1 iid = Store.hash_of st2 iid)
-       (Store.all_instances st1)
+       (fun iid -> Store.Snapshot.hash_of st1 iid = Store.Snapshot.hash_of st2 iid)
+       (Store.Snapshot.all_instances st1)
 
 let gen = QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 18))
 
@@ -178,8 +181,9 @@ let suite =
             let a = Engine.install ctx ~entity:E.layout_editor payload in
             let b = Engine.install ctx ~entity:E.extractor payload in
             check Alcotest.bool "distinct instances" true (a <> b);
+            let snap = Store.snapshot (Workspace.store w) in
             check Alcotest.string "one physical payload"
-              (Store.hash_of (Workspace.store w) a)
-              (Store.hash_of (Workspace.store w) b));
+              (Store.Snapshot.hash_of snap a)
+              (Store.Snapshot.hash_of snap b));
       ] );
   ]

@@ -92,14 +92,16 @@ let basics =
         let j = Journal.open_ ~dir Standard_schemas.odyssey in
         let ctx = Journal.context j in
         ignore (activity ctx 3);
-        let st = Store.tick ctx.Engine.store
-        and ht = History.tick ctx.Engine.history
+        let st = Store.Snapshot.tick (Store.snapshot ctx.Engine.store)
+        and ht = History.Snapshot.tick (History.snapshot ctx.Engine.history)
         and clock = ctx.Engine.clock in
         Journal.close j;
         let j = Journal.open_ ~dir Standard_schemas.odyssey in
         let ctx = Journal.context j in
-        Alcotest.(check int) "store tick" st (Store.tick ctx.Engine.store);
-        Alcotest.(check int) "history tick" ht (History.tick ctx.Engine.history);
+        Alcotest.(check int) "store tick" st
+          (Store.Snapshot.tick (Store.snapshot ctx.Engine.store));
+        Alcotest.(check int) "history tick" ht
+          (History.Snapshot.tick (History.snapshot ctx.Engine.history));
         Alcotest.(check int) "clock" clock ctx.Engine.clock;
         (* and new ids continue densely after the replay *)
         let iid =

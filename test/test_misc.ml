@@ -118,8 +118,11 @@ let engine_accounting_tests =
     t "latest_version finds the newest" (fun () ->
         let w = Workspace.create () in
         let ctx = Workspace.ctx w in
+        let latest iid =
+          History.(Snapshot.latest_version (snapshot ctx.Engine.history) iid)
+        in
         let v0 = Workspace.install_netlist w (Eda.Circuits.c17 ()) in
-        check Alcotest.int "own latest" v0 (Consistency.latest_version ctx v0);
+        check Alcotest.int "own latest" v0 (latest v0);
         let session =
           Workspace.install_editor_session w
             (Eda.Edit_script.create [ Eda.Edit_script.Rename "v2" ])
@@ -129,7 +132,7 @@ let engine_accounting_tests =
         let editor, src = match fresh with [ a; b ] -> (a, b) | _ -> assert false in
         let run = Engine.execute ctx g ~bindings:[ (editor, session); (src, v0) ] in
         let v1 = Engine.result_of run out in
-        check Alcotest.int "newest" v1 (Consistency.latest_version ctx v0));
+        check Alcotest.int "newest" v1 (latest v0));
   ]
 
 let file_tests =
@@ -154,8 +157,9 @@ let file_tests =
             Persist.save_file (Workspace.session w) path;
             let s2 = Persist.load_file Standard_schemas.odyssey path in
             check Alcotest.int "instances"
-              (Store.instance_count (Workspace.store w))
-              (Store.instance_count (Session.context s2).Engine.store)));
+              (Store.Snapshot.instance_count (Store.snapshot (Workspace.store w)))
+              (Store.Snapshot.instance_count
+                 (Store.snapshot (Session.context s2).Engine.store))));
   ]
 
 let suite =

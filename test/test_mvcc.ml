@@ -24,10 +24,10 @@ let seeded n =
 (* Everything a pinned view answers about the store and one instance's
    version lineage, flattened so structural equality is the whole
    comparison. *)
-let observe (v : Engine.view) schema probe =
+let observe (v : Engine.view) probe =
   let st = v.Engine.v_store in
   let browse = Store.Snapshot.browse st no_filter in
-  let versions = History.Snapshot.versions v.Engine.v_history st schema probe in
+  let versions = History.Snapshot.versions v.Engine.v_history probe in
   let metas =
     List.map
       (fun iid ->
@@ -47,10 +47,9 @@ let observe (v : Engine.view) schema probe =
 let isolation_prop (n, burst) =
   let w, iids = seeded (max 1 n) in
   let ctx = Workspace.ctx w in
-  let schema = Workspace.schema w in
   let probe = List.hd iids in
   let v = Session.pin (Workspace.session w) in
-  let before = observe v schema probe in
+  let before = observe v probe in
   let writer =
     Domain.spawn (fun () ->
         for i = 1 to burst do
@@ -66,13 +65,13 @@ let isolation_prop (n, burst) =
   (* reads racing the burst: every one must equal the pinned state *)
   let during_ok = ref true in
   for _ = 1 to 20 do
-    if observe v schema probe <> before then during_ok := false
+    if observe v probe <> before then during_ok := false
   done;
   Domain.join writer;
-  let after = observe v schema probe in
+  let after = observe v probe in
   (* the live store, meanwhile, must have moved on *)
   let moved =
-    Store.instance_count ctx.Engine.store
+    Store.Snapshot.instance_count (Store.snapshot ctx.Engine.store)
     = (let b, _, _, _ = before in
        List.length b)
       + burst

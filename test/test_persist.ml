@@ -72,35 +72,38 @@ let suite_cases =
         let w, _, _ = rich_session () in
         let s2 = reload (Workspace.session w) in
         let ctx1 = Workspace.ctx w and ctx2 = Session.context s2 in
+        let v1 = Engine.pin ctx1 and v2 = Engine.pin ctx2 in
+        let st1 = v1.Engine.v_store and st2 = v2.Engine.v_store in
         check Alcotest.int "instances"
-          (Store.instance_count ctx1.Engine.store)
-          (Store.instance_count ctx2.Engine.store);
+          (Store.Snapshot.instance_count st1)
+          (Store.Snapshot.instance_count st2);
         check Alcotest.int "payloads"
-          (Store.physical_count ctx1.Engine.store)
-          (Store.physical_count ctx2.Engine.store);
+          (Store.Snapshot.physical_count st1)
+          (Store.Snapshot.physical_count st2);
         check Alcotest.int "records"
-          (History.size ctx1.Engine.history)
-          (History.size ctx2.Engine.history);
+          (History.Snapshot.size v1.Engine.v_history)
+          (History.Snapshot.size v2.Engine.v_history);
         check Alcotest.int "clock" ctx1.Engine.clock ctx2.Engine.clock;
         List.iter
           (fun iid ->
             check Alcotest.string
               (Printf.sprintf "hash of #%d" iid)
-              (Store.hash_of ctx1.Engine.store iid)
-              (Store.hash_of ctx2.Engine.store iid);
+              (Store.Snapshot.hash_of st1 iid)
+              (Store.Snapshot.hash_of st2 iid);
             check Alcotest.string
               (Printf.sprintf "entity of #%d" iid)
-              (Store.entity_of ctx1.Engine.store iid)
-              (Store.entity_of ctx2.Engine.store iid))
-          (Store.all_instances ctx1.Engine.store));
+              (Store.Snapshot.entity_of st1 iid)
+              (Store.Snapshot.entity_of st2 iid))
+          (Store.Snapshot.all_instances st1));
     t "history chains survive" (fun () ->
         let w, run, f = rich_session () in
         let perf = Engine.result_of run f.Standard_flows.f5_performance in
         let s2 = reload (Workspace.session w) in
         let ctx2 = Session.context s2 in
+        let v2 = Engine.pin ctx2 in
+        let st2 = v2.Engine.v_store in
         let g, root, _ =
-          History.trace ctx2.Engine.history ctx2.Engine.store ctx2.Engine.schema
-            perf
+          History.Snapshot.trace v2.Engine.v_history st2 ctx2.Engine.schema perf
         in
         check Alcotest.string "root entity" E.performance
           (Task_graph.entity_of g root);
@@ -109,21 +112,22 @@ let suite_cases =
         let w, _, f = rich_session () in
         let s2 = reload (Workspace.session w) in
         let ctx2 = Session.context s2 in
+        let st2 = Store.snapshot ctx2.Engine.store in
         (* re-bind the same flow against the reloaded instances *)
         let layout_iid =
-          List.hd (Store.instances_of_entity ctx2.Engine.store E.edited_layout)
+          List.hd (Store.Snapshot.instances_of_entity st2 E.edited_layout)
         in
         let reference_iid =
-          List.hd (Store.instances_of_entity ctx2.Engine.store E.edited_netlist)
+          List.hd (Store.Snapshot.instances_of_entity st2 E.edited_netlist)
         in
         let stim_iid =
-          List.hd (Store.instances_of_entity ctx2.Engine.store E.stimuli)
+          List.hd (Store.Snapshot.instances_of_entity st2 E.stimuli)
         in
         let models =
-          List.hd (Store.instances_of_entity ctx2.Engine.store E.device_models)
+          List.hd (Store.Snapshot.instances_of_entity st2 E.device_models)
         in
         let tool entity =
-          List.hd (Store.instances_of_entity ctx2.Engine.store entity)
+          List.hd (Store.Snapshot.instances_of_entity st2 entity)
         in
         let g = f.Standard_flows.f5_graph in
         let bindings =
@@ -147,11 +151,13 @@ let suite_cases =
         let w, _, _ = rich_session () in
         let ctx1 = Workspace.ctx w in
         let sim1 =
-          List.hd (Store.instances_of_entity ctx1.Engine.store E.compiled_simulator)
+          List.hd
+            (Store.Snapshot.instances_of_entity
+               (Store.snapshot ctx1.Engine.store) E.compiled_simulator)
         in
         let s2 = reload (Workspace.session w) in
         let ctx2 = Session.context s2 in
-        match Store.payload ctx2.Engine.store sim1 with
+        match Store.Snapshot.payload (Store.snapshot ctx2.Engine.store) sim1 with
         | Value.Tool (Value.Compiled_simulator c) ->
           check Alcotest.bool "has instructions" true
             (Eda.Sim_compiled.instruction_count c > 0)
@@ -376,7 +382,9 @@ let random_session seed =
         (Workspace.install_stimuli w
            (Eda.Stimuli.exhaustive nl.Eda.Netlist.primary_inputs))
     | 2 ->
-      let iid = 1 + int (Store.instance_count ctx.Engine.store) in
+      let iid =
+        1 + int (Store.Snapshot.instance_count (Store.snapshot ctx.Engine.store))
+      in
       Store.annotate ctx.Engine.store iid ~label:(pick texts)
         ~comment:(pick texts) ~keywords:[ pick texts; pick texts ] ()
     | 3 ->
@@ -418,13 +426,14 @@ let random_session seed =
 (* The file as the tree of public codecs it is specified to print. *)
 let oracle_text session =
   let ctx = Session.context session in
-  let store = ctx.Engine.store and history = ctx.Engine.history in
+  let view = Engine.pin ctx in
+  let store = view.Engine.v_store and history = view.Engine.v_history in
   let instance iid =
     S.list
-      [ S.int iid; S.atom (Store.entity_of store iid);
-        Persist.meta_to_sexp (Store.meta_of store iid);
-        S.atom (Store.hash_of store iid);
-        Codec.value_to_sexp (Store.payload store iid) ]
+      [ S.int iid; S.atom (Store.Snapshot.entity_of store iid);
+        Persist.meta_to_sexp (Store.Snapshot.meta_of store iid);
+        S.atom (Store.Snapshot.hash_of store iid);
+        Codec.value_to_sexp (Store.Snapshot.payload store iid) ]
   in
   let conflict (c : History.conflict) =
     S.list
@@ -444,9 +453,9 @@ let oracle_text session =
           S.field "version" [ S.int Persist.format_version ];
           S.field "user" [ S.atom ctx.Engine.user ];
           S.field "clock" [ S.int ctx.Engine.clock ];
-          S.field "instances" (List.map instance (Store.all_instances store));
-          S.field "records" (List.map Persist.record_to_sexp (History.records history)) ]
-       @ (match History.all_conflicts history with
+          S.field "instances" (List.map instance (Store.Snapshot.all_instances store));
+          S.field "records" (List.map Persist.record_to_sexp (History.Snapshot.records history)) ]
+       @ (match History.Snapshot.all_conflicts history with
          | [] -> []
          | cs -> [ S.field "conflicts" (List.map conflict cs) ])
        @ [ S.field "flows" (List.concat_map flow (Session.flow_catalog session)) ]))

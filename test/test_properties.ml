@@ -45,44 +45,45 @@ let history_laws =
     Util.qcheck ~count:30 "backward/forward duality" history_gen
       (fun (seed, depth) ->
         let w, _, v0, versions = edit_tree seed depth in
-        let h = Workspace.history w in
+        let h = History.snapshot (Workspace.history w) in
         (* every instance derived from v0 must have v0 among its
            ancestors, and vice versa *)
         List.for_all
           (fun v ->
             v = v0
-            || (List.mem v (History.derived_instances h v0)
-               && List.mem v0 (History.ancestor_instances h v)))
+            || (List.mem v (History.Snapshot.derived_instances h v0)
+               && List.mem v0 (History.Snapshot.ancestor_instances h v)))
           versions);
     Util.qcheck ~count:30 "version tree spans every version" history_gen
       (fun (seed, depth) ->
         let w, _, v0, versions = edit_tree seed depth in
-        let h = Workspace.history w and st = Workspace.store w in
-        let schema = Workspace.schema w in
-        let tree_members = History.versions h st schema v0 in
+        let h = History.snapshot (Workspace.history w) in
+        let tree_members = History.Snapshot.versions h v0 in
         List.for_all (fun v -> List.mem v tree_members) versions
         && List.length tree_members = List.length versions);
     Util.qcheck ~count:30 "version parents are older" history_gen
       (fun (seed, depth) ->
-        let w, _, _, versions = edit_tree seed depth in
-        let h = Workspace.history w and st = Workspace.store w in
-        let schema = Workspace.schema w in
+        let _, ctx, _, versions = edit_tree seed depth in
+        let view = Engine.pin ctx in
+        let h = view.Engine.v_history and st = view.Engine.v_store in
+        let at i = (Store.Snapshot.meta_of st i).Store.created_at in
         List.for_all
           (fun v ->
-            match History.version_parent h st schema v with
+            match History.Snapshot.version_parent h v with
             | None -> true
-            | Some p ->
-              (Store.meta_of st p).Store.created_at
-              <= (Store.meta_of st v).Store.created_at)
+            | Some p -> at p <= at v)
           versions);
     Util.qcheck ~count:20 "traces of every version validate" history_gen
       (fun (seed, depth) ->
-        let w, _, _, versions = edit_tree seed depth in
-        let h = Workspace.history w and st = Workspace.store w in
+        let w, ctx, _, versions = edit_tree seed depth in
+        let view = Engine.pin ctx in
         let schema = Workspace.schema w in
         List.for_all
           (fun v ->
-            let g, root, binding = History.trace h st schema v in
+            let g, root, binding =
+              History.Snapshot.trace view.Engine.v_history view.Engine.v_store
+                schema v
+            in
             Task_graph.validate g;
             List.assoc root binding = v)
           versions);
@@ -253,7 +254,9 @@ let journal_props =
         let ctx = Journal.context j in
         ignore (Test_journal.activity ~seed ctx depth);
         Store.annotate ctx.Engine.store
-          (1 + (seed mod Store.instance_count ctx.Engine.store))
+          (1
+           + (seed
+             mod Store.Snapshot.instance_count (Store.snapshot ctx.Engine.store)))
           ~label:(Printf.sprintf "a%d" seed)
           ~keywords:[ "generated" ] ();
         let before = Test_journal.state ctx in
@@ -335,14 +338,13 @@ let journal_props =
         done;
         Journal.sync j;
         let acked_state = Test_journal.state ctx in
-        let acked_tick = Store.tick ctx.Engine.store in
+        let st = Store.snapshot ctx.Engine.store in
+        let acked_tick = Store.Snapshot.tick st in
         let acked =
           List.map
             (fun iid ->
-              ( iid,
-                Store.entity_of ctx.Engine.store iid,
-                Store.hash_of ctx.Engine.store iid ))
-            (Store.all_instances ctx.Engine.store)
+              (iid, Store.Snapshot.entity_of st iid, Store.Snapshot.hash_of st iid))
+            (Store.Snapshot.all_instances st)
         in
         let synced = (Unix.stat wal).Unix.st_size in
         (* unacked tail, then "crash": lose a random suffix of the wal
@@ -353,13 +355,14 @@ let journal_props =
         Unix.truncate wal (synced + Eda.Rng.int rng (full - synced + 1));
         let j2 = Journal.open_ ~dir Standard_schemas.odyssey in
         let ctx2 = Journal.context j2 in
+        let st2 = Store.snapshot ctx2.Engine.store in
         let prefix_ok =
-          Store.tick ctx2.Engine.store >= acked_tick
+          Store.Snapshot.tick st2 >= acked_tick
           && List.for_all
                (fun (iid, e, h) ->
-                 Store.mem ctx2.Engine.store iid
-                 && Store.entity_of ctx2.Engine.store iid = e
-                 && Store.hash_of ctx2.Engine.store iid = h)
+                 Store.Snapshot.mem st2 iid
+                 && Store.Snapshot.entity_of st2 iid = e
+                 && Store.Snapshot.hash_of st2 iid = h)
                acked
         in
         Journal.close j2;
@@ -397,13 +400,19 @@ let schema_index_props =
     | None -> false
     | Some p -> plain s ~sub:p ~super
   in
+  (* ... and root_of is the last ancestor, or the id itself *)
+  let root_ok s id =
+    Schema.root_of s id
+    = (match List.rev (Schema.ancestors s id) with [] -> id | r :: _ -> r)
+  in
   let agree s ids =
     List.for_all
       (fun sub ->
-        List.for_all
-          (fun super ->
-            Schema.is_subtype s ~sub ~super = plain s ~sub ~super)
-          ids)
+        root_ok s sub
+        && List.for_all
+             (fun super ->
+               Schema.is_subtype s ~sub ~super = plain s ~sub ~super)
+             ids)
       ids
   in
   [

@@ -68,6 +68,9 @@ let scenario () =
     s_extracted = Engine.result_of run ext;
   }
 
+let hist s = History.snapshot (Workspace.history s.w)
+let snap s = Store.snapshot (Workspace.store s.w)
+
 let store_tests =
   [
     t "instances share physical data by content" (fun () ->
@@ -76,8 +79,9 @@ let store_tests =
         let a = Store.put store ~entity:"x" ~hash:"h1" ~meta "payload" in
         let b = Store.put store ~entity:"x" ~hash:"h1" ~meta "payload" in
         let c = Store.put store ~entity:"x" ~hash:"h2" ~meta "other" in
-        check Alcotest.int "instances" 3 (Store.instance_count store);
-        check Alcotest.int "payloads" 2 (Store.physical_count store);
+        let snap = Store.snapshot store in
+        check Alcotest.int "instances" 3 (Store.Snapshot.instance_count snap);
+        check Alcotest.int "payloads" 2 (Store.Snapshot.physical_count snap);
         check Alcotest.bool "distinct iids" true (a <> b && b <> c));
     t "annotate updates metadata" (fun () ->
         let store = Store.create () in
@@ -85,12 +89,12 @@ let store_tests =
         let iid = Store.put store ~entity:"x" ~hash:"h" ~meta "p" in
         Store.annotate store iid ~label:"low pass filter"
           ~comment:"for the dac paper" ();
-        let m = Store.meta_of store iid in
+        let m = Store.Snapshot.meta_of (Store.snapshot store) iid in
         check Alcotest.string "label" "low pass filter" m.Store.label;
         check Alcotest.string "comment" "for the dac paper" m.Store.comment);
     Util.expect_exn "missing instance"
       (function Ddf.Error.Ddf_error _ -> true | _ -> false)
-      (fun () -> Store.find (Store.create ()) 42);
+      (fun () -> Store.Snapshot.find (Store.snapshot (Store.create ())) 42);
     t "browse by user, date window, keyword and text" (fun () ->
         let store = Store.create () in
         let put user at label keywords =
@@ -101,7 +105,7 @@ let store_tests =
         let a = put "jbb" 2 "Low pass filter" [ "analog" ] in
         let b = put "director" 5 "CMOS Full adder" [ "cmos" ] in
         let c = put "sutton" 9 "Operational Amplifier" [ "analog" ] in
-        let ids f = Store.browse store f in
+        let ids f = Store.Snapshot.browse (Store.snapshot store) f in
         check (Alcotest.list Alcotest.int) "user" [ a ]
           (ids { Store.any_filter with Store.f_user = Some "jbb" });
         check (Alcotest.list Alcotest.int) "window" [ b ]
@@ -116,19 +120,19 @@ let store_tests =
         let a = Store.put store ~entity:"x" ~hash:"1" ~meta "p" in
         let b = Store.put store ~entity:"x" ~hash:"2" ~meta "q" in
         check (Alcotest.list Alcotest.int) "order" [ a; b ]
-          (Store.instances_of_entity store "x"));
+          (Store.Snapshot.instances_of_entity (Store.snapshot store) "x"));
   ]
 
 let history_tests =
   [
     t "backward chaining finds the whole derivation" (fun () ->
         let s = scenario () in
-        let records = History.backward_closure (Workspace.history s.w) s.s_extracted in
+        let records = History.Snapshot.backward_closure (hist s) s.s_extracted in
         (* extraction <- placement <- edit e1 *)
         check Alcotest.int "three records" 3 (List.length records));
     t "forward chaining finds all derived data" (fun () ->
         let s = scenario () in
-        let derived = History.derived_instances (Workspace.history s.w) s.s_netlist in
+        let derived = History.Snapshot.derived_instances (hist s) s.s_netlist in
         (* v2, v3, v3b, layout, extracted (+statistics) *)
         check Alcotest.bool "v3 derived" true (List.mem s.s_v3 derived);
         check Alcotest.bool "extracted derived" true
@@ -137,7 +141,7 @@ let history_tests =
     t "trace reconstructs a valid task graph" (fun () ->
         let s = scenario () in
         let g, root, binding =
-          History.trace (Workspace.history s.w) (Workspace.store s.w)
+          History.Snapshot.trace (hist s) (snap s)
             (Workspace.schema s.w) s.s_extracted
         in
         Task_graph.validate g;
@@ -147,17 +151,15 @@ let history_tests =
           (Task_graph.entity_of g root));
     t "version parents follow edit inputs" (fun () ->
         let s = scenario () in
-        let h = Workspace.history s.w and st = Workspace.store s.w in
-        let schema = Workspace.schema s.w in
+        let h = hist s in
         check (Alcotest.option Alcotest.int) "v2 <- v1" (Some s.s_netlist)
-          (History.version_parent h st schema s.s_v2);
+          (History.Snapshot.version_parent h s.s_v2);
         check (Alcotest.option Alcotest.int) "v1 is an origin" None
-          (History.version_parent h st schema s.s_netlist));
+          (History.Snapshot.version_parent h s.s_netlist));
     t "version tree has the Fig. 11 shape" (fun () ->
         let s = scenario () in
-        let h = Workspace.history s.w and st = Workspace.store s.w in
-        let schema = Workspace.schema s.w in
-        let tree = History.version_tree h st schema s.s_netlist in
+        let h = hist s in
+        let tree = History.Snapshot.version_tree h s.s_netlist in
         check Alcotest.int "four versions" 4 (History.version_tree_size tree);
         (* v2 has two children: the branch *)
         let rec find t = if t.History.v_iid = s.s_v2 then Some t
@@ -168,18 +170,16 @@ let history_tests =
         | None -> Alcotest.fail "v2 not in tree");
     t "versions from any member reach the whole tree" (fun () ->
         let s = scenario () in
-        let h = Workspace.history s.w and st = Workspace.store s.w in
-        let schema = Workspace.schema s.w in
+        let h = hist s in
         check
           Alcotest.(slist int compare)
           "same set"
-          (History.versions h st schema s.s_netlist)
-          (History.versions h st schema s.s_v3b));
+          (History.Snapshot.versions h s.s_netlist)
+          (History.Snapshot.versions h s.s_v3b));
     t "out_of_date is empty for fresh data" (fun () ->
         let s = scenario () in
         check Alcotest.bool "fresh" true
-          (History.is_up_to_date (Workspace.history s.w) (Workspace.store s.w)
-             (Workspace.schema s.w) s.s_extracted));
+          (History.Snapshot.is_up_to_date (hist s) s.s_extracted));
     t "an edit makes downstream data stale" (fun () ->
         let s = scenario () in
         let ctx = Workspace.ctx s.w in
@@ -198,8 +198,7 @@ let history_tests =
             ~bindings:[ (editor, session); (lay, s.s_layout) ]
         in
         let stale =
-          History.out_of_date (Workspace.history s.w) (Workspace.store s.w)
-            (Workspace.schema s.w) s.s_extracted
+          History.Snapshot.out_of_date (hist s) s.s_extracted
         in
         check Alcotest.int "one stale input" 1 (List.length stale));
     t "query by template: simulations of this netlist" (fun () ->
@@ -218,7 +217,7 @@ let history_tests =
           | None -> Alcotest.fail "no layout node"
         in
         let results =
-          History.query_template (Workspace.history s.w) (Workspace.store s.w) g
+          History.Snapshot.query_template (hist s) (snap s) g
             ~bound:[ (lay, s.s_layout) ]
         in
         check Alcotest.int "one extraction" 1 (List.length results);
@@ -241,7 +240,7 @@ let history_tests =
         in
         (* bind the layout role to a netlist-unrelated instance *)
         let results =
-          History.query_template (Workspace.history s.w) (Workspace.store s.w) g
+          History.Snapshot.query_template (hist s) (snap s) g
             ~bound:[ (lay, s.s_extracted) ]
         in
         check Alcotest.int "none" 0 (List.length results));
@@ -249,9 +248,12 @@ let history_tests =
       (function Ddf.Error.Ddf_error _ -> true | _ -> false)
       (fun () ->
         let h = History.create () in
-        let _ = History.add h ~task_entity:"x" ~tool:None ~inputs:[]
+        let add =
+          History.add h (Store.snapshot (Store.create ())) Standard_schemas.odyssey
+        in
+        let _ = add ~task_entity:"x" ~tool:None ~inputs:[]
                   ~outputs:[ ("x", 1) ] ~at:1 in
-        History.add h ~task_entity:"x" ~tool:None ~inputs:[]
+        add ~task_entity:"x" ~tool:None ~inputs:[]
           ~outputs:[ ("x", 1) ] ~at:2);
   ]
 

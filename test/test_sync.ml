@@ -77,6 +77,8 @@ let edit ctx ~name base =
 
 let fp j = Sync.fingerprint (Journal.context j)
 
+let hist ctx = History.snapshot ctx.Engine.history
+
 let check_converged ?(msg = "fingerprints converge") ja jb =
   Alcotest.(check string) msg (fp ja) (fp jb)
 
@@ -237,10 +239,10 @@ let find_version ctx name =
   match
     List.find_opt
       (fun iid ->
-        match Store.payload store iid with
+        match Store.Snapshot.payload (Store.snapshot store) iid with
         | Value.Netlist nl -> nl.Eda.Netlist.name = name
         | _ -> false)
-      (Store.instances_of_entity store E.edited_netlist)
+      (Store.Snapshot.instances_of_entity (Store.snapshot store) E.edited_netlist)
   with
   | Some iid -> iid
   | None -> Alcotest.failf "no netlist version named %s" name
@@ -266,21 +268,20 @@ let conflicts =
             ignore (find_version ctx "theirs"))
           [ ca; cb ];
         let kids =
-          History.version_children ca.Engine.history ca.Engine.store
-            ca.Engine.schema base_a
+          History.Snapshot.version_children (hist ca) base_a
         in
         Alcotest.(check int) "sibling versions under the base" 2
           (List.length kids);
         (* ... and the divergence is registered once per side *)
-        let open_a = History.conflicts ca.Engine.history in
+        let open_a = History.Snapshot.conflicts (hist ca) in
         Alcotest.(check int) "one open conflict on a" 1 (List.length open_a);
         Alcotest.(check int) "one open conflict on b" 1
-          (List.length (History.conflicts cb.Engine.history));
+          (List.length (History.Snapshot.conflicts (hist cb)));
         (* a second session must not re-register it *)
         ignore
           (Sync.run ~a:(Sync.of_journal ja) ~b:(Sync.of_journal jb) ());
         Alcotest.(check int) "still one conflict" 1
-          (List.length (History.all_conflicts ca.Engine.history));
+          (List.length (History.Snapshot.all_conflicts (hist ca)));
         check_converged ~msg:"conflicting states still converge" ja jb);
     Alcotest.test_case "a resolution travels to the peer" `Quick (fun () ->
         with_clone_pair ~prep:(fun ctx -> ignore (activity ctx 1))
@@ -290,7 +291,7 @@ let conflicts =
         ignore (edit cb ~name:"theirs" (find_version cb "v1"));
         ignore
           (Sync.run ~a:(Sync.of_journal ja) ~b:(Sync.of_journal jb) ());
-        (match History.conflicts ca.Engine.history with
+        (match History.Snapshot.conflicts (hist ca) with
         | [ c ] ->
           ignore
             (History.resolve_conflict ca.Engine.history c.History.cid
@@ -300,7 +301,7 @@ let conflicts =
         ignore
           (Sync.run ~a:(Sync.of_journal ja) ~b:(Sync.of_journal jb) ());
         Alcotest.(check int) "no open conflicts left on b" 0
-          (List.length (History.conflicts cb.Engine.history));
+          (List.length (History.Snapshot.conflicts (hist cb)));
         check_converged ~msg:"resolved states converge" ja jb);
     Alcotest.test_case "concurrent annotations merge as a max-register"
       `Quick (fun () ->
@@ -313,11 +314,11 @@ let conflicts =
         ignore
           (Sync.run ~a:(Sync.of_journal ja) ~b:(Sync.of_journal jb) ());
         Alcotest.(check string) "larger annotation wins on a" "zulu"
-          (Store.meta_of ca.Engine.store ia).Store.label;
+          (Store.Snapshot.meta_of (Store.snapshot ca.Engine.store) ia).Store.label;
         Alcotest.(check string) "larger annotation wins on b" "zulu"
-          (Store.meta_of cb.Engine.store ib).Store.label;
+          (Store.Snapshot.meta_of (Store.snapshot cb.Engine.store) ib).Store.label;
         Alcotest.(check int) "annotations never conflict" 0
-          (List.length (History.all_conflicts ca.Engine.history));
+          (List.length (History.Snapshot.all_conflicts (hist ca)));
         check_converged ja jb);
   ]
 
