@@ -170,7 +170,7 @@ let cold_tier () =
     "  evicted %d payloads, releasing %.1f MiB of resident heap\n"
     evicted
     (mib (max 0 (before - after)));
-  Printf.printf "  cold frame read: %.1f us (index lookup + pread + checksum)\n"
+  Printf.printf "  cold frame read: %.1f us (index lookup + positioned read + checksum)\n"
     read_us;
   Metrics.set (Metrics.gauge "cement.bench.evicted") (float_of_int evicted);
   Metrics.set (Metrics.gauge "cement.bench.evicted_mib")

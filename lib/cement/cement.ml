@@ -9,8 +9,8 @@
                                      %016x %c %012d\n
                                      offset kind  id
 
-   The frames reuse the wal's framing byte-for-byte (J1 <len> <md5>
-   header, payload, newline), so cementing is a copy, not a
+   The frames are the wal's, through the same codec ([Frame]: J1 <len>
+   <md5> header, payload, newline), so cementing is a copy, not a
    re-encoding, and every read re-verifies the md5.  The index line
    records the frame's byte offset (hex, fixed width), its entry kind
    (p/n/r/c/v for put/note/record/conflict/resolve) and the id the
@@ -20,9 +20,11 @@
 
    The index is derived data: if it is missing, or its header
    disagrees with the segment, it is rebuilt by one sequential scan.
-   Only the newest segment can have a torn tail (older ones were
-   complete when the next was created), so open scans that one segment
-   fully and truncates it back to the last good frame. *)
+   Open reads every segment whole and checks every frame's md5 (the
+   open-time integrity scan).  Only the newest segment may have a torn
+   tail (older ones were complete when the next was created): it is
+   truncated back to the last good frame, while a short or damaged
+   older segment is a typed error. *)
 
 module Metrics = Ddf_obs.Metrics
 module Obs = Ddf_obs.Obs
@@ -34,38 +36,6 @@ let g_bytes = Metrics.gauge "cement.bytes"
 let m_reads = Metrics.counter "cement.reads"
 let m_folds = Metrics.counter "cement.folds"
 let h_fold = Metrics.histogram "cement.fold_seconds"
-
-(* ------------------------------------------------------------------ *)
-(* Framing (the wal's J1 format, byte-identical)                       *)
-(* ------------------------------------------------------------------ *)
-
-let frame_of payload =
-  Printf.sprintf "J1 %d %s\n%s\n" (String.length payload)
-    (Digest.to_hex (Digest.string payload))
-    payload
-
-(* Read one frame from a channel; [None] cleanly at end of file,
-   [`Torn at] when the tail is damaged ([at] = end of the good
-   prefix). *)
-let read_frame ic =
-  let start = pos_in ic in
-  match input_line ic with
-  | exception End_of_file -> `End
-  | header -> (
-    match String.split_on_char ' ' header with
-    | [ "J1"; len; digest ] -> (
-      match int_of_string_opt len with
-      | Some len when len >= 0 -> (
-        match really_input_string ic (len + 1) with
-        | exception End_of_file -> `Torn start
-        | payload ->
-          if payload.[len] <> '\n' then `Torn start
-          else
-            let payload = String.sub payload 0 len in
-            if Digest.to_hex (Digest.string payload) <> digest then `Torn start
-            else `Frame payload)
-      | Some _ | None -> `Torn start)
-    | _ -> `Torn start)
 
 (* ------------------------------------------------------------------ *)
 (* Entry classification (for the index)                                *)
@@ -122,7 +92,7 @@ type segment = {
   s_idx_base : int;                   (* byte length of the idx header *)
   s_min_put : int;                    (* smallest/largest put iid, 0/0 if none *)
   s_max_put : int;
-  mutable s_fd : Unix.file_descr option;      (* cached .ddf descriptor *)
+  mutable s_ic : in_channel option;           (* cached .ddf channel *)
   mutable s_idx_fd : Unix.file_descr option;  (* cached .idx descriptor *)
 }
 
@@ -180,10 +150,10 @@ let scan_segment path =
       let frames = ref [] in
       let rec go () =
         let off = pos_in ic in
-        match read_frame ic with
-        | `End -> off
-        | `Torn at -> at
-        | `Frame payload ->
+        match Frame.input ic with
+        | None -> off
+        | exception Frame.Torn at -> at
+        | Some payload ->
           frames := (off, payload) :: !frames;
           go ()
       in
@@ -354,7 +324,7 @@ let open_ ~dir =
               { s_first = first; s_last = last; s_path = path;
                 s_idx = idx_path dir first last; s_bytes = size;
                 s_idx_base = idx_base; s_min_put = mn; s_max_put = mx;
-                s_fd = None; s_idx_fd = None }
+                s_ic = None; s_idx_fd = None }
           end)
       names
     |> List.filter_map Fun.id
@@ -435,7 +405,7 @@ let fold t ~first frames =
            List.iter
              (fun (_, payload) ->
                offsets := (pos_out oc, payload) :: !offsets;
-               output_string oc (frame_of payload))
+               Frame.output oc payload)
              frames;
            fsync_oc oc;
            close_out oc
@@ -453,7 +423,7 @@ let fold t ~first frames =
           { s_first = first; s_last = last; s_path = path;
             s_idx = idx_path t.c_dir first last; s_bytes = size;
             s_idx_base = idx_base; s_min_put = mn; s_max_put = mx;
-            s_fd = None; s_idx_fd = None }
+            s_ic = None; s_idx_fd = None }
         in
         t.c_segments <- Array.append t.c_segments [| seg |];
         Metrics.incr m_folds;
@@ -469,15 +439,16 @@ let fold t ~first frames =
 (* Reads (positioned, index-backed)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Positioned read on a cached descriptor.  Callers hold [t.c_m], so
-   the lseek+read pair is atomic with respect to other readers. *)
-let seg_fd seg =
-  match seg.s_fd with
-  | Some fd -> fd
+(* Positioned reads on cached handles.  Callers hold [t.c_m], so a
+   seek and the read after it are atomic with respect to other
+   readers. *)
+let seg_ic seg =
+  match seg.s_ic with
+  | Some ic -> ic
   | None ->
-    let fd = Unix.openfile seg.s_path [ Unix.O_RDONLY ] 0 in
-    seg.s_fd <- Some fd;
-    fd
+    let ic = open_in_bin seg.s_path in
+    seg.s_ic <- Some ic;
+    ic
 
 let seg_idx_fd seg =
   match seg.s_idx_fd with
@@ -523,32 +494,15 @@ let entry_offset seg seq =
   let off, kind, id = parse_idx_entry (String.sub line 0 (idx_line_len - 1)) in
   (off, kind, id)
 
-(* Read the frame at [off]: parse the J1 header out of a fixed-size
-   probe, then read exactly the payload. *)
+(* Read and verify the frame at [off]. *)
 let frame_at seg off =
-  let fd = seg_fd seg in
-  let probe = pread fd ~off ~len:64 in
-  let nl =
-    match String.index_opt probe '\n' with
-    | Some i -> i
-    | None -> cement_errorf "cement segment %s: bad frame header" seg.s_path
-  in
-  match String.split_on_char ' ' (String.sub probe 0 nl) with
-  | [ "J1"; len; digest ] ->
-    let len =
-      match int_of_string_opt len with
-      | Some n when n >= 0 -> n
-      | Some _ | None ->
-        cement_errorf "cement segment %s: bad frame length" seg.s_path
-    in
-    let payload = pread fd ~off:(off + nl + 1) ~len in
-    if String.length payload <> len then
-      cement_errorf "cement segment %s: short frame read" seg.s_path;
-    if Digest.to_hex (Digest.string payload) <> digest then
-      cement_errorf "cement segment %s: frame checksum mismatch at %d"
-        seg.s_path off;
-    payload
-  | _ -> cement_errorf "cement segment %s: bad frame header" seg.s_path
+  let ic = seg_ic seg in
+  seek_in ic off;
+  match Frame.input ic with
+  | Some payload -> payload
+  | None -> cement_errorf "cement segment %s: no frame at %d" seg.s_path off
+  | exception Frame.Torn _ ->
+    cement_errorf "cement segment %s: damaged frame at %d" seg.s_path off
 
 let read t seq =
   locked t @@ fun () ->
@@ -569,19 +523,13 @@ let iter_range t ~from ~upto f =
     | Some seg ->
       let hi = min upto seg.s_last in
       let off, _, _ = entry_offset seg from in
-      let ic = open_in_bin seg.s_path in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-      seek_in ic off;
-      let out = ref [] in
-      (try
-         for seq = from to hi do
-           match read_frame ic with
-           | `Frame payload -> out := (seq, payload) :: !out
-           | `End | `Torn _ ->
-             cement_errorf "cement segment %s: truncated mid-window"
-               seg.s_path
-         done
-       with e -> raise e);
+      let out = ref [ (from, frame_at seg off) ] in
+      for seq = from + 1 to hi do
+        match Frame.input (seg_ic seg) with
+        | Some payload -> out := (seq, payload) :: !out
+        | None | (exception Frame.Torn _) ->
+          cement_errorf "cement segment %s: truncated mid-window" seg.s_path
+      done;
       Metrics.incr m_reads;
       Some (List.rev !out, hi)
   in
@@ -654,9 +602,7 @@ let clear t =
   locked t @@ fun () ->
   Array.iter
     (fun seg ->
-      (match seg.s_fd with
-      | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ());
+      Option.iter close_in_noerr seg.s_ic;
       (match seg.s_idx_fd with
       | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
       | None -> ());
@@ -671,11 +617,8 @@ let close t =
   locked t @@ fun () ->
   Array.iter
     (fun seg ->
-      (match seg.s_fd with
-      | Some fd ->
-        seg.s_fd <- None;
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ());
+      Option.iter close_in_noerr seg.s_ic;
+      seg.s_ic <- None;
       match seg.s_idx_fd with
       | Some fd ->
         seg.s_idx_fd <- None;

@@ -16,19 +16,20 @@
       segment-<first>-<last>.idx   I1 header + fixed-width offset lines
     v}
 
-    The frames reuse the wal's [J1 <len> <md5>] framing, so a cemented
-    frame is byte-identical to the wal frame it came from; the index
-    maps a seqno to its byte offset in O(1) (one fixed-width line per
-    entry), so lookups are served by pread-style positioned reads, not
+    The frames are written and read by {!Frame}, the wal's codec, so
+    a cemented frame is byte-identical to the wal frame it came from;
+    the index maps a seqno to its byte offset in O(1) (one fixed-width
+    line per entry), so lookups are served by positioned reads, not
     replay.  The index is derived data: a missing or inconsistent
     [.idx] is rebuilt from its segment on open.
 
     Crash safety: segments are written to a temp file, fsynced and
-    renamed into place (the directory is fsynced after the rename); a
+    renamed into place (the directory is fsynced after the rename).
+    Open reads every segment whole and checks every frame's md5.  A
     torn tail on the newest segment — external truncation, a crash
-    while the file system reordered writes — is detected on open by a
-    full scan of that segment and truncated back to the last good
-    frame (an empty survivor is dropped entirely).
+    while the file system reordered writes — is truncated back to the
+    last good frame (an empty survivor is dropped entirely); damage in
+    an older segment is an error.
 
     Thread safety: all operations on one [t] are serialised by an
     internal mutex; callers may read from any thread. *)
@@ -37,8 +38,9 @@ type t
 
 val open_ : dir:string -> t
 (** Open (creating the directory if needed) the cement store rooted at
-    [dir].  Scans segment files, validates contiguity, truncates a
-    torn newest segment and rebuilds stale indexes.
+    [dir].  Scans every segment file and checks every frame,
+    validates contiguity, truncates a torn newest segment and rebuilds
+    stale indexes.
     @raise Ddf_core.Error.Ddf_error on unrecoverable corruption (a
     seqno gap between surviving segments). *)
 

@@ -14,18 +14,19 @@
 
      S1 <first-seqno>\n
 
-   and then holds frames.  Each log frame is
+   and then holds frames ({!Ddf_cement.Frame}).  Each log frame is
 
      J1 <payload-bytes> <md5-hex>\n
      <payload>\n
 
-   where <payload> is one s-expression:
+   where <payload> is one s-expression in the flat form of
+   [Sexp.to_string ~pretty:false] (older databases hold pretty ones;
+   the reader ignores layout):
 
      (put (iid N) (clock C) (entity E) (hash H) (meta M) (value V))
      (note (iid N) (meta M))
      (record (clock C) R)               ; R as in Workspace_file
-     (conflict (clock C) (id N) (base B) (ours O) (theirs T)
-               (origin S) (at A))       ; sync divergence registered
+     (conflict (clock C) (id N) (base B) (ours O) (theirs T) (origin S) (at A))
      (resolve (clock C) (id N) (winner W))
 
    The frame header makes entries self-delimiting and the checksum
@@ -58,6 +59,7 @@ module S = Ddf_persist.Sexp
 module W = Ddf_persist.Workspace_file
 module Codec = Ddf_persist.Codec
 module Cement = Ddf_cement.Cement
+module Frame = Ddf_cement.Frame
 
 exception Journal_error = Ddf_core.Error.Ddf_error
 (* Deprecated alias: the journal raises the shared typed error now. *)
@@ -209,47 +211,18 @@ let read_segment_header path ic =
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [Frame] owns the J1 format; the wal adds the torn-append fault. *)
 let write_frame oc payload =
-  let frame =
-    Printf.sprintf "J1 %d %s\n%s\n" (String.length payload)
-      (Digest.to_hex (Digest.string payload))
-      payload
-  in
   (match Fault.check "journal.torn_write" with
   | Some (Fault.Torn k) ->
     (* a crash mid-append: only a prefix of the frame reaches the file *)
+    let frame = Frame.to_string payload in
     output_string oc (String.sub frame 0 (min k (String.length frame)));
     flush oc;
     raise (Fault.Injected "journal.torn_write")
   | Some Fault.Fail -> raise (Fault.Injected "journal.torn_write")
-  | Some (Fault.Delay _) | None -> output_string oc frame);
+  | Some (Fault.Delay _) | None -> Frame.output oc payload);
   flush oc
-
-(* Read one frame; [None] cleanly at end of file.  A short, malformed
-   or checksum-failing frame raises [Torn] with the offset where the
-   good prefix ends. *)
-exception Torn of int
-
-let read_frame ic =
-  let start = pos_in ic in
-  match input_line ic with
-  | exception End_of_file -> None
-  | header ->
-    (match String.split_on_char ' ' header with
-    | [ "J1"; len; digest ] ->
-      let len =
-        match int_of_string_opt len with
-        | Some n when n >= 0 -> n
-        | Some _ | None -> raise (Torn start)
-      in
-      let payload =
-        try really_input_string ic (len + 1) with End_of_file -> raise (Torn start)
-      in
-      if payload.[len] <> '\n' then raise (Torn start);
-      let payload = String.sub payload 0 len in
-      if Digest.to_hex (Digest.string payload) <> digest then raise (Torn start);
-      Some payload
-    | _ -> raise (Torn start))
 
 (* ------------------------------------------------------------------ *)
 (* Entry codec                                                         *)
@@ -418,22 +391,20 @@ let append j payload =
 
 let attach j =
   let ctx = j.j_ctx in
+  let append_flat entry = append j (S.to_string ~pretty:false entry) in
   Store.set_observer ctx.Ddf_exec.Engine.store (function
     | Store.Put (inst, value) ->
-      append j
-        (S.to_string (put_to_sexp ~clock:ctx.Ddf_exec.Engine.clock inst value))
-    | Store.Annotated inst -> append j (S.to_string (note_to_sexp inst)));
+      append_flat (put_to_sexp ~clock:ctx.Ddf_exec.Engine.clock inst value)
+    | Store.Annotated inst -> append_flat (note_to_sexp inst));
   History.set_observer ctx.Ddf_exec.Engine.history (fun r ->
-      append j
-        (S.to_string (record_to_sexp ~clock:ctx.Ddf_exec.Engine.clock r)));
+      append_flat (record_to_sexp ~clock:ctx.Ddf_exec.Engine.clock r));
   History.set_conflict_observer ctx.Ddf_exec.Engine.history (fun ev ->
       let clock = ctx.Ddf_exec.Engine.clock in
       match ev with
-      | History.Conflict_added c ->
-        append j (S.to_string (conflict_to_sexp ~clock c))
+      | History.Conflict_added c -> append_flat (conflict_to_sexp ~clock c)
       | History.Conflict_resolved c ->
         let winner = Option.get c.History.c_winner in
-        append j (S.to_string (resolve_to_sexp ~clock c winner)))
+        append_flat (resolve_to_sexp ~clock c winner))
 
 let detach j =
   Store.clear_observer j.j_ctx.Ddf_exec.Engine.store;
@@ -491,11 +462,11 @@ let scan_segment path f =
   | None -> (None, 0, None)
   | Some first ->
     let rec go seqno =
-      match read_frame ic with
+      match Frame.input ic with
       | None -> (seqno - first, None)
       | Some payload ->
         if f seqno payload then go (seqno + 1) else (seqno - first + 1, None)
-      | exception Torn at -> (seqno - first, Some at)
+      | exception Frame.Torn at -> (seqno - first, Some at)
     in
     let count, torn = go first in
     (Some first, count, torn)

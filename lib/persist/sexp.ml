@@ -41,67 +41,65 @@ let add_escaped buf s =
 let add_atom buf s =
   if must_quote s then add_escaped buf s else Buffer.add_string buf s
 
-(* The separator before a list's second and later items: long lists
-   break across lines for readable diffs, so a nested list printed at
-   [indent] >= 0 starts its own line, one space deeper. *)
-let add_separator buf indent item =
-  match item with
-  | List _ when indent >= 0 ->
-    Buffer.add_char buf '\n';
-    for _ = 0 to indent do
-      Buffer.add_char buf ' '
-    done
-  | List _ | Atom _ -> Buffer.add_char buf ' '
+(* The flat form, without closures: the durable and wire bytes. *)
+let rec to_buffer buf = function
+  | Atom s -> add_atom buf s
+  | List [] -> Buffer.add_string buf "()"
+  | List (item :: rest) ->
+    Buffer.add_char buf '(';
+    to_buffer buf item;
+    add_rest buf rest
 
-(* [indent] is the list's nesting depth, or -1 for the compact form. *)
-let rec to_buffer buf indent = function
+and add_rest buf = function
+  | [] -> Buffer.add_char buf ')'
+  | item :: rest ->
+    Buffer.add_char buf ' ';
+    to_buffer buf item;
+    add_rest buf rest
+
+(* The pretty form, for people: a nested list printed at depth
+   [indent] starts its own line, one space deeper than its parent. *)
+let rec add_pretty buf indent = function
   | Atom s -> add_atom buf s
   | List items ->
     Buffer.add_char buf '(';
     List.iteri
       (fun i item ->
-        if i > 0 then add_separator buf indent item;
-        to_buffer buf (if indent >= 0 then indent + 1 else indent) item)
+        (if i > 0 then
+           match item with
+           | List _ ->
+             Buffer.add_char buf '\n';
+             for _ = 0 to indent do
+               Buffer.add_char buf ' '
+             done
+           | Atom _ -> Buffer.add_char buf ' ');
+        add_pretty buf (indent + 1) item)
       items;
     Buffer.add_char buf ')'
 
 let to_string ?(pretty = true) sexp =
   let buf = Buffer.create 1024 in
-  to_buffer buf (if pretty then 0 else -1) sexp;
+  if pretty then add_pretty buf 0 sexp else to_buffer buf sexp;
   Buffer.contents buf
 
-(* A writer prints the pretty form of a tree it never holds whole:
-   lists are opened and closed explicitly, and the items between them
-   are printed as they come.  [w_depth] is the nesting depth of the
-   innermost open list (-1 when none is open) and [w_first] whether
-   that list has no item yet. *)
-type writer = {
-  w_buf : Buffer.t;
-  mutable w_depth : int;
-  mutable w_first : bool;
-}
+(* Every list a writer opens is headed by an atom, so each later
+   element is preceded by one space: no state. *)
+type writer = Buffer.t
 
-let writer buf = { w_buf = buf; w_depth = -1; w_first = true }
+let writer buf name =
+  Buffer.add_char buf '(';
+  add_atom buf name;
+  buf
 
-let separate w item =
-  if w.w_depth >= 0 && not w.w_first then add_separator w.w_buf w.w_depth item;
-  w.w_first <- false
+let open_list buf name =
+  Buffer.add_string buf " (";
+  add_atom buf name
 
-let open_list w =
-  separate w (List []);
-  Buffer.add_char w.w_buf '(';
-  w.w_depth <- w.w_depth + 1;
-  w.w_first <- true
+let add buf item =
+  Buffer.add_char buf ' ';
+  to_buffer buf item
 
-let add w item =
-  separate w item;
-  to_buffer w.w_buf (w.w_depth + 1) item
-
-let close_list w =
-  if w.w_depth < 0 then invalid_arg "Sexp.close_list: no open list";
-  Buffer.add_char w.w_buf ')';
-  w.w_depth <- w.w_depth - 1;
-  w.w_first <- false
+let close_list buf = Buffer.add_char buf ')'
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

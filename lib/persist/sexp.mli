@@ -10,15 +10,19 @@ type t =
 exception Sexp_error of string
 
 val to_string : ?pretty:bool -> t -> string
+(** The pretty form (the default, for people) puts each nested list
+    after a list's first item on its own line; [~pretty:false] is the
+    flat form, one space between items, of every durable byte. *)
+
 val of_string : string -> t
 (** @raise Sexp_error on malformed input or trailing text. *)
 
 (** {1 Streaming}
 
     A document too large to hold as one tree is read and written one
-    element at a time.  Both sides produce and accept exactly the
-    bytes of {!to_string} / {!of_string}: [of_string] is itself
-    [next] followed by [finish]. *)
+    element at a time.  The writer produces exactly the bytes of
+    [to_string ~pretty:false]; the cursor accepts any layout, and
+    [of_string] is itself [next] followed by [finish]. *)
 
 type cursor
 (** A read position in a text. *)
@@ -45,11 +49,15 @@ val finish : cursor -> unit
 (** @raise Sexp_error unless only whitespace and comments remain. *)
 
 type writer
-(** Appends the pretty form (the default of {!to_string}) of a tree
-    whose lists are opened and closed explicitly. *)
+(** Appends the flat form of a tree whose lists, each headed by an
+    atom, are opened and closed explicitly. *)
 
-val writer : Buffer.t -> writer
-val open_list : writer -> unit
+val writer : Buffer.t -> string -> writer
+(** Open the outermost list, headed by the given atom. *)
+
+val open_list : writer -> string -> unit
+(** Open a list headed by the given atom in the innermost open one. *)
+
 val add : writer -> t -> unit
 (** Append one whole element to the innermost open list. *)
 

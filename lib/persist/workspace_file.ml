@@ -140,15 +140,14 @@ let image ?seq session =
    instances in ascending iid order (installation order).  [drain]
    runs whenever [buf] holds at least [chunk_bytes] and once at the
    end; a drain that empties [buf] keeps the save in bounded memory.
-   The bytes are exactly [S.to_string] of the file's tree followed by
-   a newline. *)
+   The bytes are exactly [S.to_string ~pretty:false] of the file's
+   tree followed by a newline. *)
 let emit ?(resident_only = false) img buf ~drain =
   let snap = img.i_view.Ddf_exec.Engine.v_store in
   let history = img.i_view.Ddf_exec.Engine.v_history in
-  let w = S.writer buf in
+  let w = S.writer buf "ddf_workspace" in
   let section name items item_to_sexp =
-    S.open_list w;
-    S.add w (S.atom name);
+    S.open_list w name;
     List.iter
       (fun item ->
         S.add w (item_to_sexp item);
@@ -156,8 +155,6 @@ let emit ?(resident_only = false) img buf ~drain =
       items;
     S.close_list w
   in
-  S.open_list w;
-  S.add w (S.atom "ddf_workspace");
   S.add w (S.field "version" [ S.int format_version ]);
   Option.iter (fun seq -> S.add w (S.field "seq" [ S.int seq ])) img.i_seq;
   S.add w (S.field "user" [ S.atom img.i_user ]);

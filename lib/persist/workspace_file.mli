@@ -8,20 +8,21 @@
     fixpoint).  Compiled simulators persist their full
     instruction program.
 
-    {b Format.}  One list, pretty-printed by {!Sexp.to_string} and
-    followed by a newline, whose sections come in this fixed order:
+    {b Format.}  One list in the flat form of
+    [Sexp.to_string ~pretty:false] (one space between items, no line
+    breaks) followed by a newline, whose sections come in this fixed
+    order (shown broken across lines here):
 
     {v
-(ddf_workspace
- (version 1)
- (seq N)
- (user U)
- (clock C)
+(ddf_workspace (version 1) (seq N) (user U) (clock C)
  (instances (IID ENTITY META HASH VALUE) ...)
  (records (RID TASK TOOL INPUTS OUTPUTS AT) ...)
  (conflicts (CID BASE OURS THEIRS ORIGIN AT WINNER) ...)
  (flows (NAME FLOW-TEXT) ...))
     v}
+
+    The loader ignores layout, so files written in the pretty form
+    (every file before the flat writer) load unchanged.
 
     [conflicts] is omitted when there are none.  [seq] is the journal
     seqno the file holds: the journal's snapshots state it, plain

@@ -136,7 +136,7 @@ let save_state dir st =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     output_string oc (S.to_string ~pretty:true sexp);
+     output_string oc (S.to_string ~pretty:false sexp);
      output_char oc '\n';
      flush oc;
      close_out oc

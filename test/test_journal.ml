@@ -28,15 +28,24 @@ let with_dir f =
 (* The whole durable surface in one comparable string: instances with
    meta-data and payloads, history records, the clock.  The session
    [user] header is per-connection identity, not durable state (a
-   server rebinds it on every mutation), so it is normalized out. *)
+   server rebinds it on every mutation), so it is normalized out: the
+   save is flat, and the header sits between "(version 1)" and
+   "(clock C)". *)
 let state ctx =
-  Persist.save (Session.of_context ctx)
-  |> String.split_on_char '\n'
-  |> List.map (fun line ->
-         if String.length line >= 7 && String.sub line 0 7 = " (user " then
-           " (user _)"
-         else line)
-  |> String.concat "\n"
+  let text = Persist.save (Session.of_context ctx) in
+  let find needle from =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length text then Alcotest.fail "no user header"
+      else if String.sub text i n = needle then i
+      else go (i + 1)
+    in
+    go from
+  in
+  let start = find " (user " 0 in
+  let stop = find " (clock " start in
+  String.sub text 0 start ^ " (user _)"
+  ^ String.sub text stop (String.length text - stop)
 
 (* Drive a journaled context through the kind of work a session does:
    tool installs (via the workspace wrapper), netlist installs, edit

@@ -424,7 +424,7 @@ let random_session seed =
   session
 
 (* The file as the tree of public codecs it is specified to print. *)
-let oracle_text session =
+let oracle_tree session =
   let ctx = Session.context session in
   let view = Engine.pin ctx in
   let store = view.Engine.v_store and history = view.Engine.v_history in
@@ -447,8 +447,7 @@ let oracle_text session =
     | Some g -> [ S.list [ S.atom name; S.atom (Sexp_form.to_string g) ] ]
     | None -> []
   in
-  S.to_string
-    (S.list
+  S.list
        ([ S.atom "ddf_workspace";
           S.field "version" [ S.int Persist.format_version ];
           S.field "user" [ S.atom ctx.Engine.user ];
@@ -458,8 +457,10 @@ let oracle_text session =
        @ (match History.Snapshot.all_conflicts history with
          | [] -> []
          | cs -> [ S.field "conflicts" (List.map conflict cs) ])
-       @ [ S.field "flows" (List.concat_map flow (Session.flow_catalog session)) ]))
-  ^ "\n"
+       @ [ S.field "flows" (List.concat_map flow (Session.flow_catalog session)) ])
+
+(* A save is the flat print of that tree and a newline. *)
+let oracle_text session = S.to_string ~pretty:false (oracle_tree session) ^ "\n"
 
 let session_seed = QCheck2.Gen.int_bound 1_000_000
 
@@ -473,6 +474,15 @@ let oracle_cases =
       (fun seed ->
         let text = Persist.save (random_session seed) in
         Persist.save (Persist.load Standard_schemas.odyssey text) = text);
+    (* Files written before the flat printer are pretty: they load into
+       the same session. *)
+    Util.qcheck ~count:30 "a pretty file loads as its flat save" session_seed
+      (fun seed ->
+        let session = random_session seed in
+        let pretty = S.to_string (oracle_tree session) ^ "\n" in
+        pretty <> Persist.save session
+        && Persist.save (Persist.load Standard_schemas.odyssey pretty)
+           = Persist.save session);
     (* The snapshot writer's contract: an image pinned before another
        domain starts committing still writes exactly the quiescent
        save of the pinned instant. *)
@@ -566,25 +576,17 @@ let rejected text =
       | exception e ->
         Alcotest.failf "Journal.open_ raised %s" (Printexc.to_string e))
 
-(* Swap the first two instance elements, cut out by their start
-   markers: each instance starts its own line at indent 2. *)
+(* Swap the first two elements of the instances section. *)
 let swap_instances text =
-  let find_from i needle =
-    let n = String.length needle in
-    let rec go i =
-      if i + n > String.length text then raise Not_found
-      else if String.sub text i n = needle then i
-      else go (i + 1)
+  match S.of_string text with
+  | S.List items ->
+    let swap = function
+      | S.List (S.Atom "instances" :: a :: b :: rest) ->
+        S.List (S.Atom "instances" :: b :: a :: rest)
+      | item -> item
     in
-    go i
-  in
-  let a = find_from 0 "\n  (1 " + 1 in
-  let b = find_from a "\n  (2 " + 1 in
-  let c = find_from b "\n  (" + 1 in
-  String.sub text 0 a
-  ^ String.sub text b (c - b)
-  ^ String.sub text a (b - a)
-  ^ String.sub text c (String.length text - c)
+    S.to_string ~pretty:false (S.List (List.map swap items)) ^ "\n"
+  | S.Atom _ -> text
 
 let loader_cases =
   [
@@ -610,8 +612,8 @@ let loader_cases =
         rejected swapped);
     t "instances before version are refused" (fun () ->
         rejected
-          (Util.replace_first (snapshot_text ()) "(ddf_workspace\n (version 1)"
-             "(ddf_workspace\n (instances)\n (version 1)"));
+          (Util.replace_first (snapshot_text ()) "(ddf_workspace (version 1)"
+             "(ddf_workspace (instances) (version 1)"));
     t "trailing garbage is refused" (fun () ->
         rejected (snapshot_text () ^ "(more)\n"));
     t "a wrong format version is refused" (fun () ->
